@@ -37,6 +37,7 @@ use microedge_metrics::report::{fmt_f64, Table};
 use microedge_models::catalog::Catalog;
 use microedge_orch::lifecycle::Orchestrator;
 use microedge_orch::pod::{PodId, PodSpec, ResourceRequest, EXT_MODEL, EXT_TPU_UNITS};
+use microedge_sim::par;
 use microedge_sim::rng::DetRng;
 use microedge_sim::time::{SimDuration, SimTime};
 use microedge_tpu::device::TpuId;
@@ -344,7 +345,8 @@ pub fn run_fleet_arm(defrag: bool) -> DefragFleetArm {
                 .build(),
         );
     }
-    let (results, report) = world.run_fleet_to_completion(SimTime::from_secs(30));
+    let workers = par::worker_count(world.shard_count());
+    let (results, report, _) = world.run_net_with_workers(SimTime::from_secs(30), workers);
     DefragFleetArm {
         defrag,
         admit_rejected: report.admit_rejected,
@@ -378,10 +380,10 @@ pub fn run_defrag_study(quick: bool) -> DefragStudy {
         (DEFRAG_TPUS, DEFRAG_ROUNDS, 0.9)
     };
     let trace = churn_trace(rounds, arrival_chance, DEFRAG_SEED);
-    let arms = microedge_sim::par::par_map(vec![false, true], |_, defrag| {
+    let arms = par::par_map(vec![false, true], |_, defrag| {
         run_churn_arm(&trace, tpus, defrag)
     });
-    let fleet = microedge_sim::par::par_map(vec![false, true], |_, defrag| run_fleet_arm(defrag));
+    let fleet = par::par_map(vec![false, true], |_, defrag| run_fleet_arm(defrag));
     DefragStudy {
         tpus,
         rounds,

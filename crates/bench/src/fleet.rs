@@ -40,6 +40,7 @@ use microedge_core::shard::{FleetReport, ShardedWorld};
 use microedge_core::units::TpuUnits;
 use microedge_metrics::recovery::availability_nines;
 use microedge_metrics::report::Table;
+use microedge_sim::par;
 use microedge_sim::time::{SimDuration, SimTime};
 
 /// Regions the placement-sweep fleet is partitioned into (the chaos tier
@@ -376,7 +377,8 @@ pub fn run_fleet_chaos_tier(clusters: u32, regions: u32, killed: u32) -> FleetCh
         world.kill_cluster(kill_at, ClusterId(k * stride));
     }
     let deadline = SimTime::from_secs(CHAOS_FRAME_LIMIT / 15 + 20);
-    let (results, report) = world.run_fleet_to_completion(deadline);
+    let workers = par::worker_count(world.shard_count());
+    let (results, report, _) = world.run_net_with_workers(deadline, workers);
 
     let window = SimDuration::from_nanos(results.end().as_nanos());
     let mut availability_sum = 0.0;

@@ -9,18 +9,28 @@
 //! the epoch barrier, serially, in a canonical order. That makes the replay
 //! bit-identical at any `MICROEDGE_WORKERS` value:
 //!
-//! 1. **Partition.** Each shard drains its queue through
+//! 1. **Release.** One global mailbox holds every pending operation —
+//!    per-shard [`WorldCommand`]s, front-door admissions, cluster kills —
+//!    keyed by `(time, submission seq)`. Those due by the barrier are
+//!    released in that order; commands ride their shard's uplink.
+//! 2. **Partition.** Each shard drains its queue through
 //!    `EventQueue::pop_due(barrier)` (inclusive), so every event is handled
 //!    in exactly one epoch regardless of who else is running.
-//! 2. **Align.** After the parallel step, every shard's clock is advanced
+//! 3. **Align.** After the parallel step, every shard's clock is advanced
 //!    to the barrier (`World::advance_to`), so barrier-time deliveries are
 //!    legal on all shards.
-//! 3. **Exchange.** Outbound frame exports are collected shard-by-shard and
+//! 4. **Exchange.** Outbound frame exports are collected shard-by-shard and
 //!    sorted by `(time, source shard, stream id)` — a total order over
 //!    messages that does not depend on thread interleaving — then delivered
-//!    to the destination shards' queues. Control-plane commands
-//!    ([`WorldCommand`]) are released from a global mailbox to their owning
-//!    shard the same way, keyed by `(time, submission seq)`.
+//!    over the source's uplink to the destination shards' queues. The front
+//!    door then refreshes its cluster summaries and re-places evacuees.
+//!
+//! Both planes are always present. Every cross-shard message rides the
+//! [`crate::net`] transport, whose links are all `Healthy` (lossless,
+//! instant, never shedding) unless [`ShardedWorld::with_network`] replaces
+//! the plane; global admissions go through a one-region
+//! [`crate::fleet::FrontDoor`] unless [`ShardedWorld::with_front_door`]
+//! replaces it. There is one replay path, not a mode per plane.
 //!
 //! Determinism therefore needs no synchronisation beyond the barrier: the
 //! worker pool only decides *when* a shard's epoch runs, never *what* it
@@ -48,7 +58,7 @@
 //!         .build();
 //!     sharded.admit_stream(shard, spec).unwrap();
 //! }
-//! let results = sharded.run_to_completion(SimTime::from_secs(10));
+//! let results = sharded.run_with_workers(SimTime::from_secs(10), 2);
 //! assert_eq!(results.reports().len(), 2);
 //! // Each shard's exports were ingested by its neighbour.
 //! assert_eq!(results.remote_ingest().count(), 60);
@@ -66,7 +76,7 @@ use crate::config::Features;
 use crate::defrag::DefragConfig;
 use crate::faults::{ChaosConfig, DetectionModel, FaultSchedule, HealPolicy};
 use crate::fleet::{ClusterId, ClusterSummary, FrontDoor, PlacementStats};
-use crate::net::{NetConfig, NetReport, Transport};
+use crate::net::{LinkSchedule, NetConfig, NetReport, RetransmitPolicy, Transport};
 use crate::runtime::{FrameExport, RunResults, StreamId, StreamSpec, World, WorldCommand};
 use crate::scheduler::DeployError;
 
@@ -88,22 +98,11 @@ impl GlobalStreamId {
     }
 }
 
-/// A control-plane command waiting in the global mailbox.
-#[derive(Debug, Clone)]
-struct PendingCommand {
-    at: SimTime,
-    /// Submission order: the tie-breaker for commands at the same instant.
-    seq: u64,
-    shard: u32,
-    cmd: WorldCommand,
-}
-
-/// A fleet-level operation waiting for its instant: resolved through the
-/// front door when released, sharing the `(at, seq)` total order with the
-/// per-shard command mailbox — an admission submitted before a cluster
-/// kill still sees that cluster alive.
-#[derive(Debug, Clone)]
-enum FleetOp {
+/// What a mailbox entry does when its instant is released.
+#[derive(Debug)]
+enum MailboxOp {
+    /// A control-plane command for one shard, carried over its uplink.
+    Command { shard: u32, cmd: WorldCommand },
     /// Admit a stream wherever the front door places it.
     Admit {
         home_region: u32,
@@ -114,11 +113,15 @@ enum FleetOp {
     Kill(ClusterId),
 }
 
-#[derive(Debug, Clone)]
-struct PendingFleetOp {
+/// An operation waiting in the global mailbox. Every kind shares one
+/// `(at, seq)` total order — an admission submitted before a cluster kill
+/// at the same instant still sees that cluster alive.
+#[derive(Debug)]
+struct Pending {
     at: SimTime,
+    /// Submission order: the tie-breaker for operations at the same instant.
     seq: u64,
-    op: FleetOp,
+    op: MailboxOp,
 }
 
 /// A displaced stream awaiting global re-placement at an epoch barrier.
@@ -206,7 +209,6 @@ pub struct FleetReport {
 #[derive(Debug)]
 struct FleetState {
     door: FrontDoor,
-    ops: Vec<PendingFleetOp>,
     /// Clusters killed so far — their summaries stay drained (a barrier
     /// refresh would otherwise resurrect them from their idle pools).
     dead: Vec<bool>,
@@ -225,6 +227,22 @@ struct FleetState {
     /// Evacuee → re-admitted incarnation, packed ids.
     lineage: Vec<(StreamId, StreamId)>,
     report: FleetReport,
+}
+
+impl FleetState {
+    fn new(door: FrontDoor, clusters: usize) -> Self {
+        FleetState {
+            door,
+            dead: vec![false; clusters],
+            retry: Vec::new(),
+            heal: HealPolicy::default(),
+            give_ups: Vec::new(),
+            trackers: BTreeMap::new(),
+            recorder: RecoveryRecorder::new(),
+            lineage: Vec::new(),
+            report: FleetReport::default(),
+        }
+    }
 }
 
 /// A control message riding the lossy network: submitted at `at`, it
@@ -293,15 +311,16 @@ pub struct ShardedWorld {
     /// The last completed barrier (all shard clocks are aligned to it
     /// between epochs).
     now: SimTime,
-    /// Commands not yet released to their owning shard.
-    mailbox: Vec<PendingCommand>,
+    /// Operations not yet released, in submission order.
+    mailbox: Vec<Pending>,
     next_seq: u64,
     exports_routed: u64,
-    /// The fleet front door and its bookkeeping, armed by
-    /// [`ShardedWorld::with_front_door`].
-    fleet: Option<Box<FleetState>>,
-    /// The lossy-network plane, armed by [`ShardedWorld::with_network`].
-    net: Option<Box<NetPlane>>,
+    /// The fleet front door and its bookkeeping: one region with no spill
+    /// unless [`ShardedWorld::with_front_door`] replaces it.
+    fleet: FleetState,
+    /// The network plane: perfect links unless
+    /// [`ShardedWorld::with_network`] replaces it.
+    net: NetPlane,
 }
 
 /// The dense shard-table slot for a `u32` shard id.
@@ -309,10 +328,21 @@ fn shard_index(shard: u32) -> usize {
     usize::try_from(shard).expect("u32 shard id fits usize")
 }
 
+/// A shard's capacity as the front door sees it.
+fn summary_of(shard: &World) -> ClusterSummary {
+    ClusterSummary::from_pool(
+        shard.scheduler().pool().capacity_summary(),
+        u64::try_from(shard.active_streams()).expect("stream count fits u64"),
+    )
+}
+
 impl ShardedWorld {
     /// Builds one shard per cluster with the built-in catalog and shipped
     /// policy (the same defaults as [`World::new`]) and the
-    /// [`DEFAULT_EPOCH`] barrier interval.
+    /// [`DEFAULT_EPOCH`] barrier interval. Cross-shard messages ride
+    /// perfect links — lossless, instant, with no in-flight limit — and
+    /// global admissions go through a one-region front door with no
+    /// spill.
     ///
     /// # Panics
     ///
@@ -327,21 +357,29 @@ impl ShardedWorld {
             !shards.is_empty(),
             "a sharded world needs at least one shard"
         );
+        let door = FrontDoor::new(shards.iter().map(summary_of).collect(), 1, 0);
+        let perfect = NetConfig {
+            retransmit: RetransmitPolicy {
+                inflight_budget: u32::MAX,
+                ..RetransmitPolicy::default()
+            },
+            ..NetConfig::new(LinkSchedule::default())
+        };
         ShardedWorld {
+            fleet: FleetState::new(door, shards.len()),
+            net: NetPlane::new(shards.len(), perfect),
             shards,
             epoch: DEFAULT_EPOCH,
             now: SimTime::ZERO,
             mailbox: Vec::new(),
             next_seq: 0,
             exports_routed: 0,
-            fleet: None,
-            net: None,
         }
     }
 
-    /// Arms the federated front door ([`crate::fleet`]) over this fleet:
-    /// the clusters are partitioned into `regions` contiguous regions and
-    /// global admissions probe the home region first, then up to `spill`
+    /// Replaces the default front door ([`crate::fleet`]): the clusters
+    /// are partitioned into `regions` contiguous regions and global
+    /// admissions probe the home region first, then up to `spill`
     /// neighbouring regions per side, then the whole fleet. Summaries seed
     /// from the current pools and refresh from each shard's capacity index
     /// at every epoch barrier.
@@ -351,60 +389,22 @@ impl ShardedWorld {
     /// Panics unless `1 ≤ regions ≤ shard count`.
     #[must_use]
     pub fn with_front_door(mut self, regions: u32, spill: u32) -> Self {
-        let summaries: Vec<ClusterSummary> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                ClusterSummary::from_pool(
-                    shard.scheduler().pool().capacity_summary(),
-                    u64::try_from(shard.active_streams()).expect("stream count fits u64"),
-                )
-            })
-            .collect();
-        self.fleet = Some(Box::new(FleetState {
-            door: FrontDoor::new(summaries, regions, spill),
-            ops: Vec::new(),
-            dead: vec![false; self.shards.len()],
-            retry: Vec::new(),
-            heal: HealPolicy::default(),
-            give_ups: Vec::new(),
-            trackers: BTreeMap::new(),
-            recorder: RecoveryRecorder::new(),
-            lineage: Vec::new(),
-            report: FleetReport::default(),
-        }));
+        let summaries = self.shards.iter().map(summary_of).collect();
+        self.fleet.door = FrontDoor::new(summaries, regions, spill);
         self
     }
 
-    /// Arms the lossy-network plane ([`crate::net`]): every cross-shard
-    /// message — frame exports, control commands, fleet admissions — rides
-    /// cluster `i`'s uplink (link `i`) under the scheduled
-    /// [`crate::net::LinkState`]s, and each cluster heartbeats the fleet
-    /// over the same link so lossy/partitioned links starve the lease
-    /// detector into false-positive suspicions. Works with or without a
-    /// front door; with one, suspicions drain placements and summary
-    /// refreshes become best-effort with bounded staleness.
+    /// Replaces the default perfect-link network plane ([`crate::net`]):
+    /// every cross-shard message — frame exports, control commands, fleet
+    /// admissions, summary refreshes — rides cluster `i`'s uplink (link
+    /// `i`) under the scheduled [`crate::net::LinkState`]s, and each
+    /// cluster heartbeats the fleet over the same link so lossy/partitioned
+    /// links starve the lease detector into false-positive suspicions that
+    /// drain placements, and summary refreshes become best-effort with
+    /// bounded staleness.
     #[must_use]
     pub fn with_network(mut self, cfg: NetConfig) -> Self {
-        let links = self.shards.len();
-        self.net = Some(Box::new(NetPlane {
-            transport: Transport::new(links, cfg.schedule, cfg.seed, cfg.retransmit),
-            detection: cfg.detection,
-            staleness_bound: cfg.staleness_bound,
-            pending: Vec::new(),
-            last_heard: vec![SimTime::ZERO; links],
-            hb_next: vec![1; links],
-            suspect: vec![false; links],
-            gray: vec![false; links],
-            suspect_since: vec![SimTime::ZERO; links],
-            affected: vec![0; links],
-            last_refresh: vec![SimTime::ZERO; links],
-            stale: vec![false; links],
-            report: NetReport {
-                suspicion_ns: vec![0; links],
-                ..NetReport::default()
-            },
-        }));
+        self.net = NetPlane::new(self.shards.len(), cfg);
         self
     }
 
@@ -515,14 +515,14 @@ impl ShardedWorld {
             shard_index(shard) < self.shards.len(),
             "shard {shard} out of range"
         );
+        self.post(at, MailboxOp::Command { shard, cmd });
+    }
+
+    /// Queues `op` in the global mailbox under the next submission seq.
+    fn post(&mut self, at: SimTime, op: MailboxOp) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.mailbox.push(PendingCommand {
-            at,
-            seq,
-            shard,
-            cmd,
-        });
+        self.mailbox.push(Pending { at, seq, op });
     }
 
     /// Schedules a fault trace for `shard` through the command mailbox
@@ -547,39 +547,33 @@ impl ShardedWorld {
     /// Submits a globally-placed admission: when `at` is released the
     /// front door picks a cluster — home region first, then up to `spill`
     /// neighbouring regions, then the whole fleet — and routes the stream
-    /// into that shard's mailbox. Shares the `(at, seq)` total order with
-    /// [`ShardedWorld::schedule_command`], so an admission submitted
+    /// to that shard over its uplink. Shares the `(at, seq)` total order
+    /// with [`ShardedWorld::schedule_command`], so an admission submitted
     /// before a [`ShardedWorld::kill_cluster`] at the same instant still
-    /// sees the cluster alive.
+    /// sees the cluster alive. Without [`ShardedWorld::with_front_door`]
+    /// the default one-region door places it.
     ///
     /// # Panics
     ///
-    /// Panics without a front door, if `at` precedes the last completed
-    /// barrier, or if `home_region` is out of range.
+    /// Panics if `at` precedes the last completed barrier, or if
+    /// `home_region` is out of range for the current front door.
     pub fn admit_global(&mut self, at: SimTime, home_region: u32, spec: StreamSpec) {
         assert!(
             at >= self.now,
             "cannot admit at {at} behind the barrier {now}",
             now = self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let fleet = self
-            .fleet
-            .as_mut()
-            .expect("admit_global needs with_front_door");
         assert!(
-            home_region < fleet.door.topology().regions(),
+            home_region < self.fleet.door.topology().regions(),
             "home region {home_region} out of range"
         );
-        fleet.ops.push(PendingFleetOp {
+        self.post(
             at,
-            seq,
-            op: FleetOp::Admit {
+            MailboxOp::Admit {
                 home_region,
                 spec: Box::new(spec),
             },
-        });
+        );
     }
 
     /// Schedules a whole-cluster failure at `at`: the front door drains
@@ -587,12 +581,14 @@ impl ShardedWorld {
     /// shard evacuates every live stream; evacuees are re-placed on
     /// surviving clusters at the next epoch barrier, with downtime and
     /// recovery breakdowns recorded per stream. Killing an already-dead
-    /// cluster is a no-op.
+    /// cluster is a no-op. The evacuation is not a message: it is queued
+    /// on the shard at release, ahead of same-instant commands still
+    /// crossing the network.
     ///
     /// # Panics
     ///
-    /// Panics without a front door, if `at` precedes the last completed
-    /// barrier, or if `cluster` is out of range.
+    /// Panics if `at` precedes the last completed barrier, or if `cluster`
+    /// is out of range.
     pub fn kill_cluster(&mut self, at: SimTime, cluster: ClusterId) {
         assert!(
             at >= self.now,
@@ -604,68 +600,24 @@ impl ShardedWorld {
             "cluster {id} out of range",
             id = cluster.0
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let fleet = self
-            .fleet
-            .as_mut()
-            .expect("kill_cluster needs with_front_door");
-        fleet.ops.push(PendingFleetOp {
-            at,
-            seq,
-            op: FleetOp::Kill(cluster),
-        });
+        self.post(at, MailboxOp::Kill(cluster));
     }
 
-    /// Runs epochs until every queue and the mailbox drain (or `deadline`
-    /// is reached), then merges the per-shard results. Worker count comes
-    /// from `MICROEDGE_WORKERS` / available parallelism, and — the whole
-    /// point — does not affect the results, byte for byte.
-    #[must_use]
-    pub fn run_to_completion(self, deadline: SimTime) -> RunResults {
-        let workers = par::worker_count(self.shards.len());
-        self.run_with_workers(deadline, workers)
-    }
-
-    /// [`ShardedWorld::run_to_completion`] with an explicit worker count
-    /// (the determinism tests pin 1/2/8 explicitly).
+    /// Runs epochs until every queue, the mailbox and the network drain
+    /// (or `deadline` is reached), then merges the per-shard results. The
+    /// worker count — the whole point — does not affect the results, byte
+    /// for byte.
     ///
     /// # Panics
     ///
     /// Panics if `deadline` precedes the last completed barrier.
     #[must_use]
     pub fn run_with_workers(self, deadline: SimTime, workers: usize) -> RunResults {
-        self.run_fleet_with_workers(deadline, workers).0
+        self.run_net_with_workers(deadline, workers).0
     }
 
-    /// [`ShardedWorld::run_to_completion`] that also returns the
-    /// fleet-tier [`FleetReport`] (all-zero unless a front door was
-    /// armed).
-    #[must_use]
-    pub fn run_fleet_to_completion(self, deadline: SimTime) -> (RunResults, FleetReport) {
-        let workers = par::worker_count(self.shards.len());
-        self.run_fleet_with_workers(deadline, workers)
-    }
-
-    /// [`ShardedWorld::run_fleet_to_completion`] with an explicit worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` precedes the last completed barrier.
-    #[must_use]
-    pub fn run_fleet_with_workers(
-        self,
-        deadline: SimTime,
-        workers: usize,
-    ) -> (RunResults, FleetReport) {
-        let (results, report, _) = self.run_net_with_workers(deadline, workers);
-        (results, report)
-    }
-
-    /// [`ShardedWorld::run_fleet_with_workers`] that also returns the
-    /// network-tier [`NetReport`] (all-zero unless a network plane was
-    /// armed).
+    /// [`ShardedWorld::run_with_workers`] that also returns the fleet-tier
+    /// [`FleetReport`] and the network-tier [`NetReport`].
     ///
     /// # Panics
     ///
@@ -677,18 +629,8 @@ impl ShardedWorld {
         workers: usize,
     ) -> (RunResults, FleetReport, NetReport) {
         assert!(deadline >= self.now, "deadline behind the barrier");
-        // Release order within a barrier is (time, submission seq) across
-        // BOTH queues: direct per-shard commands and fleet ops interleave
-        // in one global submission order.
         self.mailbox.sort_by_key(|p| (p.at, p.seq));
-        let mailbox = std::mem::take(&mut self.mailbox);
-        let mut fleet = self.fleet.take();
-        let mut net = self.net.take();
-        if let Some(f) = fleet.as_mut() {
-            f.ops.sort_by_key(|p| (p.at, p.seq));
-        }
-        let mut released = 0;
-        let mut fleet_released = 0;
+        let mut mailbox = std::mem::take(&mut self.mailbox).into_iter().peekable();
         while self.now < deadline {
             let barrier = self
                 .now
@@ -698,50 +640,17 @@ impl ShardedWorld {
             // 0. Advance the link state machines to the epoch's start:
             //    every draw this epoch — control attempts before the run,
             //    exports and heartbeats after — sees the same states.
-            if let Some(n) = net.as_mut() {
-                n.transport.advance_to(self.now);
-            }
-            // 1. Release due commands/ops in the global order. Serial and
-            //    sorted, so per-shard queue insertion order (and thus event
-            //    seq numbers) is identical at any worker count.
-            loop {
-                let next_direct = mailbox
-                    .get(released)
-                    .filter(|p| p.at <= barrier)
-                    .map(|p| (p.at, p.seq));
-                let next_fleet = fleet
-                    .as_ref()
-                    .and_then(|f| f.ops.get(fleet_released))
-                    .filter(|p| p.at <= barrier)
-                    .map(|p| (p.at, p.seq));
-                let take_direct = match (next_direct, next_fleet) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(d), Some(f)) => d < f,
-                };
-                if take_direct {
-                    let p = &mailbox[released];
-                    released += 1;
-                    match net.as_mut() {
-                        Some(n) => n.submit_control(p.at, p.seq, p.shard, p.cmd.clone()),
-                        None => {
-                            self.shards[shard_index(p.shard)].schedule_command(p.at, p.cmd.clone())
-                        }
-                    }
-                } else {
-                    let f = fleet.as_mut().expect("fleet op implies fleet state");
-                    let p = f.ops[fleet_released].clone();
-                    fleet_released += 1;
-                    release_fleet_op(f, &mut self.shards, net.as_deref_mut(), &p);
-                }
+            self.net.transport.advance_to(self.now);
+            // 1. Release due operations in the global (at, seq) order.
+            //    Serial and sorted, so per-shard queue insertion order (and
+            //    thus event seq numbers) is identical at any worker count.
+            while let Some(p) = mailbox.next_if(|p| p.at <= barrier) {
+                self.release(p);
             }
             // 1b. Pump the control channel: wire attempts due this epoch
             //     deliver into their shard (possibly delayed past the
             //     barrier), retransmit with capped backoff, or give up.
-            if let Some(n) = net.as_mut() {
-                n.pump_control(barrier, &mut self.shards);
-            }
+            self.net.pump_control(barrier, &mut self.shards);
             // 2. Run every shard to the barrier in parallel. Shards share
             //    nothing, so workers only decide scheduling, not behaviour.
             self.shards = par::par_map_with_workers(
@@ -771,26 +680,18 @@ impl ShardedWorld {
             let k = u32::try_from(self.shards.len()).expect("shard count fits u32");
             for (src, e) in msgs {
                 // Ring routing: each shard announces completions to its
-                // successor (the aggregation peer). Exports complete inside
-                // the epoch but their record instant can overhang the
-                // barrier (client post-processing); deliver at that instant,
-                // never before the barrier the receiver sits at. Under the
-                // network plane the export rides the source's uplink:
-                // best-effort — a drop is counted, never retransmitted — and
-                // a degraded link's extra delay pushes delivery to a later
-                // instant (released at a later barrier, still in the
+                // successor (the aggregation peer) over its uplink. Exports
+                // complete inside the epoch but their record instant can
+                // overhang the barrier (client post-processing); deliver at
+                // that instant, never before the barrier the receiver sits
+                // at. Best-effort: a drop is counted, never retransmitted,
+                // and a degraded link's extra delay pushes delivery to a
+                // later instant (released at a later barrier, still in the
                 // canonical order this serial loop imposes).
                 let dest = (src + 1) % k;
-                let delivery = match net.as_mut() {
-                    Some(n) => {
-                        let key = e.at.as_nanos().wrapping_add(splitmix64(e.stream.0));
-                        n.transport
-                            .send_telemetry(src, key)
-                            .map(|t| (e.at + t.extra).max(barrier))
-                    }
-                    None => Some(e.at.max(barrier)),
-                };
-                if let Some(at) = delivery {
+                let key = e.at.as_nanos().wrapping_add(splitmix64(e.stream.0));
+                if let Some(t) = self.net.transport.send_telemetry(src, key) {
+                    let at = (e.at + t.extra).max(barrier);
                     self.shards[shard_index(dest)].schedule_ingest(at, e.latency);
                     self.exports_routed += 1;
                 }
@@ -798,26 +699,17 @@ impl ShardedWorld {
             // 3b. Heartbeats: each live cluster beacons the fleet over its
             //     uplink; losses starve the lease detector into (possibly
             //     false-positive) suspicions, resumptions reconcile them.
-            if let Some(n) = net.as_mut() {
-                n.heartbeats(barrier, &self.shards, fleet.as_deref_mut());
-            }
+            self.net.heartbeats(barrier, &self.shards, &mut self.fleet);
             // 4. Fleet barrier duties: collect evacuees, refresh summaries
             //    from the pools' capacity indexes, re-place the displaced.
             //    Serial and order-canonical, like the exchange above.
-            if let Some(f) = fleet.as_mut() {
-                exchange_fleet(f, &mut self.shards, net.as_deref_mut(), barrier);
-            }
+            exchange_fleet(&mut self.fleet, &mut self.shards, &mut self.net, barrier);
             self.now = barrier;
-            let ops_done = fleet.as_ref().is_none_or(|f| {
-                // Evacuees that found no home retry at later barriers, but
-                // only capacity released by *running* events can unblock
-                // them — with every queue empty they can never place.
-                fleet_released >= f.ops.len()
-            });
-            let net_idle = net.as_ref().is_none_or(|n| n.pending.is_empty());
-            if released >= mailbox.len()
-                && ops_done
-                && net_idle
+            // Evacuees that found no home retry at later barriers, but only
+            // capacity released by *running* events can unblock them — with
+            // every queue empty they can never place.
+            if mailbox.peek().is_none()
+                && self.net.pending.is_empty()
                 && self.shards.iter().all(|s| s.pending_events() == 0)
             {
                 break;
@@ -830,19 +722,77 @@ impl ShardedWorld {
             .map(|shard| shard.finish(end))
             .collect();
         let mut results = RunResults::merge_shards(parts);
-        let report = match fleet {
-            Some(f) => finish_fleet(*f, &mut results, end),
-            None => FleetReport::default(),
-        };
-        let net_report = match net {
-            Some(n) => n.finish(end),
-            None => NetReport::default(),
-        };
-        (results, report, net_report)
+        let report = finish_fleet(self.fleet, &mut results, end);
+        (results, report, self.net.finish(end))
+    }
+
+    /// Resolves one mailbox operation at its release instant (serial, in
+    /// the global `(at, seq)` order — deterministic at any worker count).
+    fn release(&mut self, p: Pending) {
+        let Pending { at, seq, op } = p;
+        match op {
+            MailboxOp::Command { shard, cmd } => self.net.submit_control(at, seq, shard, cmd),
+            MailboxOp::Admit { home_region, spec } => {
+                let f = &mut self.fleet;
+                // Shard 0 hosts the profiling service: every cluster shares
+                // the model catalog, so any shard's estimate is the fleet's.
+                let Ok(demand) = self.shards[0].estimate_demand(&spec) else {
+                    f.report.admit_rejected += 1;
+                    return;
+                };
+                match f.door.admit(home_region, demand) {
+                    // The deploy command rides the destination's uplink: it
+                    // can be delayed, shed at a saturated window, or given
+                    // up after the retransmit budget — the placement debit
+                    // stands either way (a capacity leak the next summary
+                    // refresh corrects).
+                    Some(placement) => self.net.submit_control(
+                        at,
+                        seq,
+                        placement.cluster.0,
+                        WorldCommand::Admit(spec),
+                    ),
+                    None => f.report.admit_rejected += 1,
+                }
+            }
+            MailboxOp::Kill(cluster) => {
+                // A cluster death is not a message — nothing rides the
+                // network.
+                let f = &mut self.fleet;
+                let slot = &mut f.dead[cluster.index()];
+                if !*slot {
+                    *slot = true;
+                    f.door.drain(cluster);
+                    self.shards[cluster.index()].schedule_command(at, WorldCommand::Evacuate);
+                    f.report.clusters_killed += 1;
+                }
+            }
+        }
     }
 }
 
 impl NetPlane {
+    fn new(links: usize, cfg: NetConfig) -> Self {
+        NetPlane {
+            transport: Transport::new(links, cfg.schedule, cfg.seed, cfg.retransmit),
+            detection: cfg.detection,
+            staleness_bound: cfg.staleness_bound,
+            pending: Vec::new(),
+            last_heard: vec![SimTime::ZERO; links],
+            hb_next: vec![1; links],
+            suspect: vec![false; links],
+            gray: vec![false; links],
+            suspect_since: vec![SimTime::ZERO; links],
+            affected: vec![0; links],
+            last_refresh: vec![SimTime::ZERO; links],
+            stale: vec![false; links],
+            report: NetReport {
+                suspicion_ns: vec![0; links],
+                ..NetReport::default()
+            },
+        }
+    }
+
     /// Admits a released control command to its destination's uplink, or
     /// sheds it when the link's in-flight window is full (the typed error
     /// is counted; the command simply never reaches the shard).
@@ -906,19 +856,14 @@ impl NetPlane {
     /// fact alive, draining its summary so placements avoid it and opening
     /// a suspicion span on its streams; heard-again gray suspects
     /// reconcile, closing the span.
-    fn heartbeats(
-        &mut self,
-        barrier: SimTime,
-        shards: &[World],
-        mut fleet: Option<&mut FleetState>,
-    ) {
+    fn heartbeats(&mut self, barrier: SimTime, shards: &[World], fleet: &mut FleetState) {
         let hb = self.detection.heartbeat;
         if hb.is_zero() {
             return;
         }
         for (link, shard) in shards.iter().enumerate() {
             let l = u32::try_from(link).expect("shard count fits u32");
-            let dead = fleet.as_ref().is_some_and(|f| f.dead[link]);
+            let dead = fleet.dead[link];
             loop {
                 let tick_idx = self.hb_next[link];
                 let tick = SimTime::from_nanos(hb.as_nanos().saturating_mul(tick_idx));
@@ -950,9 +895,7 @@ impl NetPlane {
                         u64::try_from(shard.active_streams()).expect("stream count fits u64");
                     self.affected[link] = streams;
                     self.report.detection.suspected_streams += streams;
-                    if let Some(f) = fleet.as_mut() {
-                        f.door.drain(ClusterId(l));
-                    }
+                    fleet.door.drain(ClusterId(l));
                 }
             } else if self.suspect[link]
                 && self.gray[link]
@@ -974,7 +917,7 @@ impl NetPlane {
     }
 
     /// Closes still-open gray suspicion spans and freezes the ledgers.
-    fn finish(mut self: Box<Self>, end: SimTime) -> NetReport {
+    fn finish(mut self, end: SimTime) -> NetReport {
         for link in 0..self.suspect.len() {
             if self.suspect[link] && self.gray[link] {
                 self.report.suspicion_ns[link] +=
@@ -986,71 +929,16 @@ impl NetPlane {
     }
 }
 
-/// Resolves one fleet op at its release instant (serial, in the global
-/// `(at, seq)` order — deterministic at any worker count).
-fn release_fleet_op(
-    f: &mut FleetState,
-    shards: &mut [World],
-    net: Option<&mut NetPlane>,
-    p: &PendingFleetOp,
-) {
-    match &p.op {
-        FleetOp::Admit { home_region, spec } => {
-            // Shard 0 hosts the profiling service: every cluster shares
-            // the model catalog, so any shard's estimate is the fleet's.
-            let demand = match shards[0].estimate_demand(spec) {
-                Ok(d) => d,
-                Err(_) => {
-                    f.report.admit_rejected += 1;
-                    return;
-                }
-            };
-            match f.door.admit(*home_region, demand) {
-                Some(placement) => {
-                    // The deploy command rides the destination's uplink:
-                    // under the network plane it can be delayed, shed at a
-                    // saturated window, or given up after the retransmit
-                    // budget — the placement debit stands either way (a
-                    // capacity leak the next summary refresh corrects).
-                    let dest = placement.cluster.0;
-                    let cmd = WorldCommand::Admit(spec.clone());
-                    match net {
-                        Some(n) => n.submit_control(p.at, p.seq, dest, cmd),
-                        None => shards[shard_index(dest)].schedule_command(p.at, cmd),
-                    }
-                }
-                None => f.report.admit_rejected += 1,
-            }
-        }
-        FleetOp::Kill(cluster) => {
-            // A cluster death is not a message — nothing rides the network.
-            let slot = &mut f.dead[cluster.index()];
-            if !*slot {
-                *slot = true;
-                f.door.drain(*cluster);
-                shards[cluster.index()].schedule_command(p.at, WorldCommand::Evacuate);
-                f.report.clusters_killed += 1;
-            }
-        }
-    }
-}
-
 /// The front door's epoch-barrier duties: collect the epoch's evacuees,
 /// refresh every live cluster's summary from its pool's capacity index
 /// (ground truth overrides the interim debits), then re-place evacuees on
 /// surviving clusters — synchronously, so a refused admission is caught
 /// here and retried at a later barrier under the [`HealPolicy`] backoff.
 ///
-/// With the network plane armed, summary refreshes ride the telemetry
-/// channel: a dropped refresh leaves the door acting on a stale summary,
+/// Summary refreshes ride the telemetry channel: a dropped refresh leaves the door acting on a stale summary,
 /// and a cluster silent past the staleness bound is drained until a
 /// refresh gets through again (bounded-staleness reconciliation).
-fn exchange_fleet(
-    f: &mut FleetState,
-    shards: &mut [World],
-    mut net: Option<&mut NetPlane>,
-    barrier: SimTime,
-) {
+fn exchange_fleet(f: &mut FleetState, shards: &mut [World], n: &mut NetPlane, barrier: SimTime) {
     // 1. Collect evacuations shard-by-shard (each shard's list is already
     //    in stream-id order). Fresh evacuees are eligible immediately.
     let mut waiting = std::mem::take(&mut f.retry);
@@ -1080,39 +968,28 @@ fn exchange_fleet(
     //    them from rotation; reconciliation restores them, not a refresh.
     for (i, shard) in shards.iter().enumerate() {
         let id = u32::try_from(i).expect("shard count fits u32");
-        if f.dead[i] {
+        if f.dead[i] || n.suspect[i] {
             continue;
         }
-        if let Some(n) = net.as_deref_mut() {
-            if n.suspect[i] {
-                continue;
+        let key = barrier.as_nanos().wrapping_add(REFRESH_KEY_SALT);
+        if n.transport.send_telemetry(id, key).is_none() {
+            // Refresh lost. The door keeps acting on the stale summary
+            // until the staleness bound trips; past it, drain the cluster
+            // rather than place against fiction.
+            let age = barrier.saturating_since(n.last_refresh[i]);
+            if !n.stale[i] && age > n.staleness_bound {
+                n.stale[i] = true;
+                n.report.stale_drains += 1;
+                f.door.drain(ClusterId(id));
             }
-            let key = barrier.as_nanos().wrapping_add(REFRESH_KEY_SALT);
-            if n.transport.send_telemetry(id, key).is_none() {
-                // Refresh lost. The door keeps acting on the stale summary
-                // until the staleness bound trips; past it, drain the
-                // cluster rather than place against fiction.
-                let age = barrier.saturating_since(n.last_refresh[i]);
-                if !n.stale[i] && age > n.staleness_bound {
-                    n.stale[i] = true;
-                    n.report.stale_drains += 1;
-                    f.door.drain(ClusterId(id));
-                }
-                continue;
-            }
-            n.last_refresh[i] = barrier;
-            if n.stale[i] {
-                n.stale[i] = false;
-                n.report.stale_restores += 1;
-            }
+            continue;
         }
-        f.door.observe(
-            ClusterId(id),
-            ClusterSummary::from_pool(
-                shard.scheduler().pool().capacity_summary(),
-                u64::try_from(shard.active_streams()).expect("stream count fits u64"),
-            ),
-        );
+        n.last_refresh[i] = barrier;
+        if n.stale[i] {
+            n.stale[i] = false;
+            n.report.stale_restores += 1;
+        }
+        f.door.observe(ClusterId(id), summary_of(shard));
     }
     // 3. Re-place, FIFO among the due. Admission is synchronous — every
     //    shard's clock sits exactly at the barrier, so admitting here is
@@ -1229,7 +1106,7 @@ mod tests {
             sw.admit_stream(shard, spec(&format!("cam-{shard}"), 45))
                 .unwrap();
         }
-        let results = sw.run_to_completion(SimTime::from_secs(30));
+        let results = sw.run_with_workers(SimTime::from_secs(30), 2);
         assert_eq!(results.reports().len(), 3);
         assert!(results.all_met_fps());
         // Ids are remapped per shard.
@@ -1253,7 +1130,7 @@ mod tests {
         .unwrap();
         sw.admit_stream(1, spec("quiet", 30)).unwrap();
         let exported = {
-            let results = sw.run_to_completion(SimTime::from_secs(10));
+            let results = sw.run_with_workers(SimTime::from_secs(10), 2);
             results.remote_ingest().count()
         };
         // Every completion of the export-flagged stream (and only those)
@@ -1270,7 +1147,7 @@ mod tests {
         let at = SimTime::from_secs(2);
         sw.schedule_command(at, 0, WorldCommand::Remove(cam.local));
         sw.schedule_command(at, 0, WorldCommand::Remove(cam.local));
-        let results = sw.run_to_completion(SimTime::from_secs(60));
+        let results = sw.run_with_workers(SimTime::from_secs(60), 2);
         assert_eq!(results.commands_failed(), 1);
         // ~2 s at 15 FPS: far fewer than 1 000 frames completed.
         let completed = results.report(cam.packed()).unwrap().completed();
@@ -1285,7 +1162,7 @@ mod tests {
             0,
             WorldCommand::Admit(Box::new(spec("late", 15))),
         );
-        let results = sw.run_to_completion(SimTime::from_secs(30));
+        let results = sw.run_with_workers(SimTime::from_secs(30), 2);
         assert_eq!(results.commands_failed(), 0);
         assert_eq!(results.reports().len(), 1);
         assert_eq!(results.reports()[0].completed(), 15);
@@ -1307,7 +1184,7 @@ mod tests {
         for i in 0..4 {
             sw.admit_stream(0, spec(&format!("cam-{i}"), 60)).unwrap();
         }
-        let sharded = sw.run_to_completion(deadline);
+        let sharded = sw.run_with_workers(deadline, 2);
         let mut plain = build();
         plain.run_until(deadline);
         let oracle = plain.finish(sharded.end());
@@ -1365,7 +1242,7 @@ mod tests {
         for i in 0..5 {
             sw.admit_global(SimTime::ZERO, 0, spec(&format!("cam-{i}"), 30));
         }
-        let (results, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(30), 2);
         assert_eq!(results.reports().len(), 5);
         assert!(results.all_met_fps());
         assert_eq!(report.placement.admitted, 5);
@@ -1398,7 +1275,7 @@ mod tests {
                 .frame_limit(15)
                 .build(),
         );
-        let (results, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(30), 2);
         assert_eq!(results.reports().len(), 2);
         assert_eq!(report.placement.admitted, 2);
         assert_eq!(report.placement.rejections, 1);
@@ -1412,7 +1289,7 @@ mod tests {
         sw.admit_stream(0, spec("pre-1", 30)).unwrap();
         let mut sw = sw.with_front_door(1, 0);
         sw.admit_global(SimTime::ZERO, 0, spec("late", 30));
-        let (results, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(30), 2);
         // Cluster 0 was already full at arming time, so the global
         // admission lands on cluster 1 — without waiting for a barrier
         // refresh.
@@ -1428,7 +1305,7 @@ mod tests {
         let fault_at = SimTime::from_millis(2_200);
         sw.kill_cluster(fault_at, ClusterId(0));
         let deadline = SimTime::from_secs(10);
-        let (results, report) = sw.run_fleet_with_workers(deadline, 1);
+        let (results, report, _) = sw.run_net_with_workers(deadline, 1);
         assert_eq!(report.clusters_killed, 1);
         assert_eq!(report.evacuated, 1);
         assert_eq!(report.readmitted, 1);
@@ -1461,7 +1338,7 @@ mod tests {
         let fault_at = SimTime::from_millis(2_200);
         sw.kill_cluster(fault_at, ClusterId(0));
         sw.kill_cluster(fault_at, ClusterId(1));
-        let (results, report) = sw.run_fleet_with_workers(SimTime::from_secs(10), 1);
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(10), 1);
         assert_eq!(report.clusters_killed, 2);
         assert_eq!(report.evacuated, 1);
         assert_eq!(report.readmitted, 0);
@@ -1478,7 +1355,7 @@ mod tests {
         sw.admit_global(SimTime::ZERO, 0, spec("cam", 60));
         sw.kill_cluster(SimTime::from_secs(1), ClusterId(0));
         sw.kill_cluster(SimTime::from_secs(2), ClusterId(0));
-        let (_, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (_, report, _) = sw.run_net_with_workers(SimTime::from_secs(30), 2);
         assert_eq!(report.clusters_killed, 1);
         assert_eq!(report.evacuated, 1);
     }
@@ -1503,11 +1380,11 @@ mod tests {
         };
         let deadline = SimTime::from_secs(20);
         let serial = {
-            let (results, report) = build().run_fleet_with_workers(deadline, 1);
+            let (results, report, _) = build().run_net_with_workers(deadline, 1);
             format!("{results:?}|{report:?}")
         };
         for workers in [2, 8] {
-            let (results, report) = build().run_fleet_with_workers(deadline, workers);
+            let (results, report, _) = build().run_net_with_workers(deadline, workers);
             let parallel = format!("{results:?}|{report:?}");
             assert_eq!(serial, parallel, "diverged at {workers} workers");
         }
@@ -1515,8 +1392,9 @@ mod tests {
 
     #[test]
     fn healthy_network_matches_the_no_net_run() {
-        // Tier 0 of the net plane is the differential oracle: all-healthy
-        // links must reproduce the pre-net run byte for byte.
+        // Tier 0 of the net plane is the differential oracle: an explicit
+        // all-healthy schedule must reproduce the default perfect-link plane
+        // byte for byte — results, fleet outcome and message ledgers.
         let build = |net: bool| {
             let mut sw = ShardedWorld::new((0..2).map(|_| cluster(1)), Features::all())
                 .with_front_door(1, 0);
@@ -1540,18 +1418,58 @@ mod tests {
         let (plain_r, plain_f, plain_n) = build(false).run_net_with_workers(deadline, 1);
         let (net_r, net_f, net_n) = build(true).run_net_with_workers(deadline, 1);
         assert_eq!(
-            format!("{plain_r:?}|{plain_f:?}"),
-            format!("{net_r:?}|{net_f:?}")
+            format!("{plain_r:?}|{plain_f:?}|{plain_n:?}"),
+            format!("{net_r:?}|{net_f:?}|{net_n:?}")
         );
-        assert_eq!(plain_n, NetReport::default());
-        // The armed plane carried real traffic — losslessly.
-        assert!(net_n.stats.control.sent >= 1);
-        assert_eq!(net_n.stats.control.delivered, net_n.stats.control.sent);
-        assert!(net_n.stats.telemetry.sent > 0);
-        assert_eq!(net_n.stats.telemetry.dropped, 0);
-        assert!(net_n.stats.heartbeat.sent > 0);
-        assert_eq!(net_n.stats.conservation_violations(), 0);
-        assert_eq!(net_n.detection.detections, 0);
+        // The default plane carried real traffic — losslessly.
+        assert!(plain_n.stats.control.sent >= 1);
+        assert_eq!(plain_n.stats.control.delivered, plain_n.stats.control.sent);
+        assert!(plain_n.stats.telemetry.sent > 0);
+        assert_eq!(plain_n.stats.telemetry.dropped, 0);
+        assert!(plain_n.stats.heartbeat.sent > 0);
+        assert_eq!(plain_n.stats.conservation_violations(), 0);
+        assert_eq!(plain_n.detection.detections, 0);
+    }
+
+    #[test]
+    fn global_admission_works_without_an_explicit_front_door() {
+        let mut sw = ShardedWorld::new((0..2).map(|_| cluster(1)), Features::all());
+        sw.admit_stream(0, spec("pre-0", 30)).unwrap();
+        sw.admit_stream(0, spec("pre-1", 30)).unwrap();
+        // Placed after the first barrier refresh, which sees cluster 0 full.
+        sw.admit_global(SimTime::from_secs(1), 0, spec("late", 30));
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(30), 1);
+        assert_eq!(report.placement.admitted, 1);
+        assert_eq!(report.admit_rejected, 0);
+        let placed = results
+            .report(StreamId(0).with_shard(1))
+            .expect("placed on the cluster with room");
+        assert_eq!(placed.completed(), 30);
+    }
+
+    #[test]
+    fn kill_at_a_command_instant_evacuates_before_delivery_on_any_plane() {
+        // A command and a kill at the same instant: the evacuation is
+        // queued at release, the command after the control pump, so the
+        // kill finds no stream to evacuate — with or without an explicit
+        // network.
+        let build = |net: bool| {
+            let mut sw = ShardedWorld::new((0..2).map(|_| cluster(1)), Features::all());
+            if net {
+                sw = sw.with_network(NetConfig::new(LinkSchedule::scripted(Vec::new())));
+            }
+            let at = SimTime::from_secs(1);
+            sw.schedule_command(at, 0, WorldCommand::Admit(Box::new(spec("cam", 60))));
+            sw.kill_cluster(at, ClusterId(0));
+            sw
+        };
+        let deadline = SimTime::from_secs(20);
+        let (plain_r, plain_f, _) = build(false).run_net_with_workers(deadline, 1);
+        let (net_r, net_f, _) = build(true).run_net_with_workers(deadline, 1);
+        assert_eq!(plain_f, net_f);
+        assert_eq!(format!("{plain_r:?}"), format!("{net_r:?}"));
+        assert_eq!(plain_f.clusters_killed, 1);
+        assert_eq!(plain_f.evacuated, 0);
     }
 
     #[test]
@@ -1567,12 +1485,14 @@ mod tests {
                 .build(),
         )
         .unwrap();
-        let (_, _, net) = sw.run_net_with_workers(SimTime::from_secs(20), 1);
+        let (results, _, net) = sw.run_net_with_workers(SimTime::from_secs(20), 1);
         // Best effort: every export was attempted, none arrived, all were
-        // counted — and never retransmitted.
-        assert!(net.stats.telemetry.sent > 0);
-        assert_eq!(net.stats.telemetry.delivered, 0);
-        assert_eq!(net.stats.telemetry.dropped, net.stats.telemetry.sent);
+        // counted — and never retransmitted. The only telemetry through is
+        // cluster 1's summary refresh at each of the 40 barriers.
+        assert_eq!(results.remote_ingest().count(), 0);
+        assert!(net.stats.telemetry.dropped > 0);
+        assert_eq!(net.stats.telemetry.delivered, 40);
+        assert_eq!(net.stats.telemetry.dropped + 40, net.stats.telemetry.sent);
         assert_eq!(net.stats.telemetry.retransmits, 0);
         assert_eq!(net.stats.conservation_violations(), 0);
         // The silent uplink starved the lease detector into suspecting a
@@ -1690,7 +1610,7 @@ mod tests {
         }
         sw.admit_stream(0, spec("victim", 10_000)).unwrap();
         sw.kill_cluster(SimTime::from_millis(2_200), ClusterId(0));
-        let (results, report) = sw.run_fleet_with_workers(SimTime::from_secs(60), 1);
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(60), 1);
         assert_eq!(report.evacuated, 1);
         assert_eq!(report.readmitted, 0);
         assert_eq!(report.gave_up, 1);

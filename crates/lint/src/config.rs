@@ -103,7 +103,7 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &str)] = &[
     // sharded epoch exchange
     (
         "crates/core/src/shard.rs",
-        "ShardedWorld::run_to_completion",
+        "ShardedWorld::run_net_with_workers",
     ),
     // federated placement front door
     ("crates/core/src/fleet.rs", "FrontDoor::place"),

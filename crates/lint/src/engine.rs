@@ -123,6 +123,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
                 report.diags.push(d);
             }
         }
+        report.diags.extend(taint::unresolved_panic_entries(&graph));
         let (debt, breakdown) = taint::panic_path_debt(&graph);
         *report.panic_ratchet.entry(krate).or_insert(0) += debt;
         report.panic_breakdown.extend(breakdown);

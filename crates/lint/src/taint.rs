@@ -70,6 +70,31 @@ pub fn panic_path_debt(graph: &CrateGraph) -> (usize, Vec<(String, String, u32, 
     (total, breakdown)
 }
 
+/// Configured hot entry points ([`config::PANIC_ENTRY_POINTS`]) whose file
+/// is in this crate's graph but whose name resolves to no function there.
+/// A renamed or deleted entry would otherwise drop its whole call tree from
+/// the ratchet without a trace; each becomes a finding at its file.
+pub fn unresolved_panic_entries(graph: &CrateGraph) -> Vec<Diagnostic> {
+    config::PANIC_ENTRY_POINTS
+        .iter()
+        .filter(|(file_suffix, qual)| {
+            graph.fns.iter().any(|f| f.file.ends_with(file_suffix))
+                && graph.resolve_entry(file_suffix, qual).is_empty()
+        })
+        .map(|(file_suffix, qual)| Diagnostic {
+            rule: config::PANIC_PATH_RATCHET,
+            path: (*file_suffix).to_string(),
+            line: 1,
+            col: 1,
+            message: format!(
+                "panic-path entry point `{qual}` resolves to no function in this file — \
+                 repoint it in PANIC_ENTRY_POINTS (crates/lint/src/config.rs) or its \
+                 call tree silently leaves the ratchet"
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,5 +160,33 @@ mod tests {
         assert_eq!(total, 2);
         assert_eq!(breakdown.len(), 1);
         assert_eq!(breakdown[0].0, "FrontDoor::pick");
+        assert!(unresolved_panic_entries(&g).is_empty());
+    }
+
+    #[test]
+    fn unresolved_entry_point_is_reported() {
+        // fleet.rs is in the graph, but `FrontDoor::place` is gone.
+        let g = graph_of(
+            r#"
+            impl FrontDoor {
+                fn admit(&mut self) { self.heap[0].unwrap(); }
+            }
+            "#,
+            "crates/core/src/fleet.rs",
+        );
+        let diags = unresolved_panic_entries(&g);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].rule, "panic-path-ratchet");
+        assert_eq!(diags[0].path, "crates/core/src/fleet.rs");
+        assert!(diags[0].message.contains("`FrontDoor::place`"));
+        // Nothing reachable, nothing counted: the finding is the only signal.
+        assert_eq!(panic_path_debt(&g).0, 0);
+    }
+
+    #[test]
+    fn entry_points_outside_the_graph_are_not_reported() {
+        // Another crate's graph holds none of the entry files.
+        let g = graph_of("fn helper() { xs[0]; }", "crates/sim/src/x.rs");
+        assert!(unresolved_panic_entries(&g).is_empty());
     }
 }

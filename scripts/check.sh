@@ -39,26 +39,18 @@ assert_deterministic_artifact() {
   cmp "$a/$name.filtered" "$b/$name.filtered"
 }
 
-echo "==> scale study smoke + sharded-replay determinism (repro --scale --quick)"
-scale_out="$(mktemp -d)"
-trap 'rm -rf "$scale_out"' EXIT
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --scale --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --scale --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_scale.json "$scale_out/a" "$scale_out/b"
-
-echo "==> fleet front-door smoke + determinism (repro --fleet --quick)"
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --fleet --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --fleet --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_fleet.json "$scale_out/a" "$scale_out/b"
-
-echo "==> network chaos smoke + determinism (repro --net --quick)"
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --net --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --net --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_net.json "$scale_out/a" "$scale_out/b"
-
-echo "==> online defragmentation smoke + determinism (repro --defrag --quick)"
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --defrag --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --defrag --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_defrag.json "$scale_out/a" "$scale_out/b"
+# Each artifact study runs at 1 and 8 workers and must match byte for byte
+# once host_ lines are stripped: the scale-out tiers, the fleet front door,
+# network chaos, online defragmentation, and the chaos study.
+artifacts_out="$(mktemp -d)"
+trap 'rm -rf "$artifacts_out"' EXIT
+for study in scale fleet net defrag chaos; do
+  echo "==> $study study smoke + determinism (repro --$study --quick, 1 vs 8 workers)"
+  for workers in 1 8; do
+    MICROEDGE_WORKERS=$workers cargo run --release -p microedge-bench --bin repro -- \
+      "--$study" --quick --csv "$artifacts_out/w$workers"
+  done
+  assert_deterministic_artifact "BENCH_$study.json" "$artifacts_out/w1" "$artifacts_out/w8"
+done
 
 echo "All checks passed."
