@@ -151,7 +151,7 @@ impl Node {
     /// `true` when every `(key, value)` in `selector` matches this node's
     /// labels.
     #[must_use]
-    pub fn matches_selector(&self, selector: &BTreeMap<String, String>) -> bool {
+    pub fn matches_selector(&self, selector: &[(String, String)]) -> bool {
         selector.iter().all(|(k, v)| self.labels.get(k) == Some(v))
     }
 }
@@ -181,18 +181,11 @@ mod tests {
         let mut n = Node::rpi4(NodeId(0), NodeKind::TRpi);
         n.set_label("zone", "campus-east");
 
-        let mut sel = BTreeMap::new();
-        assert!(
-            n.matches_selector(&sel),
-            "empty selector matches everything"
-        );
+        assert!(n.matches_selector(&[]), "empty selector matches everything");
 
-        sel.insert(TPU_LABEL.to_owned(), "true".to_owned());
-        sel.insert("zone".to_owned(), "campus-east".to_owned());
-        assert!(n.matches_selector(&sel));
-
-        sel.insert("zone".to_owned(), "campus-west".to_owned());
-        assert!(!n.matches_selector(&sel));
+        let pair = |k: &str, v: &str| (k.to_owned(), v.to_owned());
+        assert!(n.matches_selector(&[pair(TPU_LABEL, "true"), pair("zone", "campus-east")]));
+        assert!(!n.matches_selector(&[pair(TPU_LABEL, "true"), pair("zone", "campus-west")]));
     }
 
     #[test]

@@ -151,11 +151,12 @@ impl TpuAccount {
     /// Ids of live models in co-compilation priority order.
     #[must_use]
     pub fn live_models(&self) -> Vec<ModelId> {
-        self.models
-            .iter()
-            .filter(|m| m.refs > 0)
-            .map(|m| m.id.clone())
-            .collect()
+        self.live_model_ids().cloned().collect()
+    }
+
+    /// [`TpuAccount::live_models`] without the copies.
+    pub(crate) fn live_model_ids(&self) -> impl Iterator<Item = &ModelId> {
+        self.models.iter().filter(|m| m.refs > 0).map(|m| &m.id)
     }
 
     /// Every resident model with its liveness: dead entries are awaiting

@@ -61,7 +61,7 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use microedge_cluster::network::NetworkModel;
@@ -83,7 +83,7 @@ use microedge_sim::rng::DetRng;
 use microedge_sim::series::StepSeries;
 use microedge_sim::stats::{LogLinearSketch, OnlineStats};
 use microedge_sim::time::{SimDuration, SimTime};
-use microedge_tpu::cocompile::CoCompiler;
+use microedge_tpu::cocompile::{CacheAllocation, CoCompiler};
 use microedge_tpu::device::{DeviceStats, TpuDevice, TpuId};
 use microedge_tpu::spec::TpuSpec;
 
@@ -1217,21 +1217,27 @@ impl World {
         spec: &StreamSpec,
     ) -> Result<(PodSpec, Vec<Arc<ModelProfile>>), DeployError> {
         let mut profiles = Vec::with_capacity(spec.stages.len());
-        let mut model_ext = Vec::with_capacity(spec.stages.len());
-        let mut units_ext = Vec::with_capacity(spec.stages.len());
+        // Comma-separated lists, written in place (one `String` each).
+        let mut model_ext = String::new();
+        let mut units_ext = String::new();
         for stage in &spec.stages {
             let profile = self.intern_profile(&stage.model)?;
             let units = stage
                 .units
                 .unwrap_or_else(|| self.dp.profiled_units(&profile, spec.fps));
-            model_ext.push(stage.model.as_str().to_owned());
-            units_ext.push(format!("{}", units.as_f64()));
+            if !profiles.is_empty() {
+                model_ext.push(',');
+                units_ext.push(',');
+            }
+            model_ext.push_str(stage.model.as_str());
+            // Writing into a `String` cannot fail.
+            let _ = write!(units_ext, "{}", units.as_f64());
             profiles.push(profile);
         }
         let pod_spec = PodSpec::builder(&spec.name, "microedge-camera:latest")
             .resources(ResourceRequest::camera_default())
-            .extension(EXT_MODEL, &model_ext.join(","))
-            .extension(EXT_TPU_UNITS, &units_ext.join(","))
+            .extension(EXT_MODEL, &model_ext)
+            .extension(EXT_TPU_UNITS, &units_ext)
             .build();
         Ok((pod_spec, profiles))
     }
@@ -2627,34 +2633,28 @@ impl World {
     /// Panics if `end` precedes the last processed event.
     #[must_use]
     pub fn finish(self, end: SimTime) -> RunResults {
-        let reports = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (StreamId::from_index(i), s.audit.report(&s.spec.name, end)))
-            .collect();
-        let latencies = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (StreamId::from_index(i), s.latency.clone()))
-            .collect();
-        let average_utilization = self.fleet.average_utilization(end);
-        let per_device_utilization = self.fleet.per_device_utilization(end);
-        let windowed_utilization = self.fleet.into_windowed_average(end);
-        let phases: BTreeMap<StreamId, StreamPhase> = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (StreamId::from_index(i), s.phase))
-            .collect();
+        // One pass that takes every stream apart: names move into their
+        // reports; only the chain map copies a latency. The per-stream
+        // columns are built in id order and bulk-loaded into their maps.
+        let count = self.streams.len();
+        let mut reports = Vec::with_capacity(count);
+        let mut latencies = Vec::with_capacity(count);
+        let mut phases = Vec::with_capacity(count);
         let mut chain_latencies: BTreeMap<StreamId, OnlineStats> = BTreeMap::new();
-        for s in &self.streams {
+        for (i, s) in self.streams.into_iter().enumerate() {
+            let id = StreamId::from_index(i);
             chain_latencies
                 .entry(s.root)
                 .and_modify(|stats| stats.merge(&s.latency))
                 .or_insert_with(|| s.latency.clone());
+            reports.push((id, s.audit.report(s.spec.name, end)));
+            latencies.push((id, s.latency));
+            phases.push((id, s.phase));
         }
+        let phases: BTreeMap<StreamId, StreamPhase> = phases.into_iter().collect();
+        let average_utilization = self.fleet.average_utilization(end);
+        let per_device_utilization = self.fleet.per_device_utilization(end);
+        let windowed_utilization = self.fleet.into_windowed_average(end);
         let lineage = self.lineage;
         let (recovery, availability) = match self.chaos {
             Some(chaos) => {
@@ -2676,8 +2676,8 @@ impl World {
             None => (RecoveryRecorder::new(), BTreeMap::new()),
         };
         RunResults {
-            reports,
-            latencies,
+            reports: reports.into_iter().collect(),
+            latencies: latencies.into_iter().collect(),
             average_utilization,
             per_device_utilization,
             windowed_utilization,
@@ -2708,13 +2708,31 @@ impl World {
         (self.finish(end), served)
     }
 
+    /// Loads the co-compiled plan of `tpu`'s live models into its device.
+    ///
+    /// A device's resident plan is always `CoCompiler::plan` of the
+    /// catalog profiles of its own model list: installed here, or by
+    /// `TpuDevice::invoke`'s single-model swap, which plans the stream's
+    /// interned catalog profile with the same spec. So when that list
+    /// already equals the live list, re-planning would install the plan
+    /// the device holds, and the call is skipped. Lazily reclaimed models
+    /// keep a dead entry in the pool, not a live one, so a removal that
+    /// drops a model still changes the list and re-plans.
     fn sync_device(&mut self, tpu: TpuId) {
-        let models = self.sched.resident_models(tpu);
-        let profiles: Vec<ModelProfile> = models
-            .iter()
-            .map(|m| self.sched.catalog().expect(m).clone())
-            .collect();
+        let account = self.sched.pool().account(tpu);
         let device = &mut self.services[tpu.index()].device;
+        let resident = device.resident().allocations().iter();
+        if account
+            .live_model_ids()
+            .eq(resident.map(CacheAllocation::model))
+        {
+            return;
+        }
+        let catalog = self.sched.catalog();
+        let profiles: Vec<ModelProfile> = account
+            .live_model_ids()
+            .map(|m| catalog.expect(m).clone())
+            .collect();
         let plan = CoCompiler::new(device.spec())
             .plan(&profiles)
             .expect("resident models are distinct");
@@ -3706,6 +3724,67 @@ mod tests {
             w.fail_node(NodeId(9_999)).is_empty(),
             "unknown node is a no-op"
         );
+    }
+
+    #[test]
+    fn touched_tpus_hold_the_plan_of_their_live_models_after_every_admission() {
+        // Pins the no-op skip in `sync_device`. Random admits and removals
+        // of mixed models share two TPUs, with frames running in between.
+        // Understated units oversubscribe the TPUs, so a removed stream's
+        // queued frames still run after the next re-plan and swap their
+        // model in through `TpuDevice::invoke`; lazily reclaimed models
+        // linger in the pool as dead entries.
+        const MODELS: [&str; 5] = [
+            "ssd-mobilenet-v2",
+            "mobilenet-v1",
+            "unet-v2",
+            "efficientdet-lite0",
+            "resnet-50",
+        ];
+        let compiler = CoCompiler::new(TpuSpec::coral_usb());
+        let mut swaps = 0;
+        for seed in 0..8 {
+            let mut rng = DetRng::seed_from(seed);
+            let mut w = world(2, Features::all());
+            let mut live: Vec<StreamId> = Vec::new();
+            for step in 0..120 {
+                if !live.is_empty() && rng.chance(0.4) {
+                    let id = live.swap_remove(rng.index(live.len()));
+                    w.remove_stream(id).unwrap();
+                } else {
+                    let model = MODELS[rng.index(MODELS.len())];
+                    let spec = StreamSpec::builder(&format!("cam-{step}"), model)
+                        .units(TpuUnits::from_micro(rng.uniform_range(50_000, 300_000)))
+                        .build();
+                    if let Ok(id) = w.admit_stream(spec) {
+                        live.push(id);
+                        let pod = w.pod_of(id).unwrap();
+                        for alloc in w.scheduler().assignment(pod).unwrap() {
+                            let tpu = alloc.tpu();
+                            let profiles: Vec<ModelProfile> = w
+                                .scheduler()
+                                .resident_models(tpu)
+                                .iter()
+                                .map(|m| w.scheduler().catalog().expect(m).clone())
+                                .collect();
+                            assert_eq!(
+                                w.services[tpu.index()].device.resident(),
+                                &compiler.plan(&profiles).unwrap(),
+                                "seed {seed}, step {step}: {tpu} is off its live plan"
+                            );
+                        }
+                    }
+                }
+                let next = w.now() + SimDuration::from_millis(rng.uniform_range(0, 400));
+                w.run_until(next);
+            }
+            swaps += w
+                .services
+                .iter()
+                .map(|s| s.device.stats().swaps())
+                .sum::<u64>();
+        }
+        assert!(swaps > 0, "the sequences must exercise invoke() swaps");
     }
 
     #[test]

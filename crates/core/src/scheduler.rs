@@ -89,18 +89,17 @@ impl TpuRequest {
         match (spec.extension(EXT_MODEL), spec.extension(EXT_TPU_UNITS)) {
             (None, None) => Ok(Vec::new()),
             (Some(models), Some(raw_units)) => {
-                let model_list: Vec<&str> = models.split(',').map(str::trim).collect();
-                let unit_list: Vec<&str> = raw_units.split(',').map(str::trim).collect();
-                if model_list.len() != unit_list.len() {
+                let model_count = models.split(',').count();
+                let unit_count = raw_units.split(',').count();
+                if model_count != unit_count {
                     return Err(DeployError::MalformedRequest(format!(
-                        "{} models but {} units values",
-                        model_list.len(),
-                        unit_list.len()
+                        "{model_count} models but {unit_count} units values"
                     )));
                 }
-                model_list
-                    .iter()
-                    .zip(&unit_list)
+                models
+                    .split(',')
+                    .map(str::trim)
+                    .zip(raw_units.split(',').map(str::trim))
                     .map(|(model, raw)| {
                         if model.is_empty() {
                             return Err(DeployError::MalformedRequest(
@@ -299,19 +298,20 @@ impl Deployment {
 #[derive(Debug, Clone)]
 struct PodAssignment {
     entries: Vec<StagePlacement>,
-    /// Full-rate per-stage demand, before any degradation scaling.
-    full: Vec<(ModelId, TpuUnits)>,
+    /// Full-rate demand of each stage in `entries`, before any degradation
+    /// scaling (the stage's model is the entry's).
+    full: Vec<TpuUnits>,
     /// Current degradation denominator (1 = full rate).
     den: u32,
 }
 
 impl PodAssignment {
-    /// Requests reproducing the pod's demand at denominator `den`.
-    fn requests_at(&self, den: u32) -> Vec<TpuRequest> {
-        self.full
+    /// Every stage's model with its demand at denominator `den`.
+    fn demand_at(&self, den: u32) -> impl ExactSizeIterator<Item = (&ModelId, TpuUnits)> {
+        self.entries
             .iter()
-            .map(|(model, units)| TpuRequest::new(model.clone(), scale_units(*units, den)))
-            .collect()
+            .zip(&self.full)
+            .map(move |((model, _), &units)| (model, scale_units(units, den)))
     }
 }
 
@@ -407,46 +407,31 @@ impl ExtendedScheduler {
     /// against the live pool: planning never mutates it, so no scratch is
     /// needed, and cloning a multi-thousand-TPU pool per admission is what
     /// dominated large fleet sweeps.
-    fn plan_stages(&mut self, requests: &[TpuRequest]) -> Result<Vec<StagePlacement>, DeployError> {
-        if let [request] = requests {
+    fn plan_stages<'m>(
+        &mut self,
+        stages: impl ExactSizeIterator<Item = (&'m ModelId, TpuUnits)>,
+    ) -> Result<Vec<StagePlacement>, DeployError> {
+        let mut scratch = (stages.len() > 1).then(|| self.pool.clone());
+        let mut plans = Vec::with_capacity(stages.len());
+        for (model, units) in stages {
             let profile = self
                 .catalog
-                .get(request.model())
-                .ok_or_else(|| DeployError::UnknownModel(request.model().clone()))?;
+                .get(model)
+                .ok_or_else(|| DeployError::UnknownModel(model.clone()))?;
             if !self.policy.plan_into(
-                &self.pool,
+                scratch.as_ref().unwrap_or(&self.pool),
                 profile,
-                request.units(),
-                self.features,
-                &mut self.plan_buffer,
-            ) {
-                return Err(DeployError::InsufficientTpu);
-            }
-            return Ok(vec![(
-                request.model().clone(),
-                self.plan_buffer.allocations().to_vec(),
-            )]);
-        }
-        let mut scratch = self.pool.clone();
-        let mut plans = Vec::with_capacity(requests.len());
-        for request in requests {
-            let profile = self
-                .catalog
-                .get(request.model())
-                .ok_or_else(|| DeployError::UnknownModel(request.model().clone()))?
-                .clone();
-            if !self.policy.plan_into(
-                &scratch,
-                &profile,
-                request.units(),
+                units,
                 self.features,
                 &mut self.plan_buffer,
             ) {
                 return Err(DeployError::InsufficientTpu);
             }
             let allocations = self.plan_buffer.allocations().to_vec();
-            scratch.commit(&profile, &allocations);
-            plans.push((request.model().clone(), allocations));
+            if let Some(scratch) = scratch.as_mut() {
+                scratch.commit(profile, &allocations);
+            }
+            plans.push((model.clone(), allocations));
         }
         Ok(plans)
     }
@@ -490,15 +475,11 @@ impl ExtendedScheduler {
                 control_rpcs: 0,
             });
         }
-        let full: Vec<(ModelId, TpuUnits)> = full_requests
-            .iter()
-            .map(|r| (r.model().clone(), r.units()))
-            .collect();
-        let requests: Vec<TpuRequest> = full_requests
-            .iter()
-            .map(|r| TpuRequest::new(r.model().clone(), scale_units(r.units(), den)))
-            .collect();
-        let plans = self.plan_stages(&requests)?;
+        let plans = self.plan_stages(
+            full_requests
+                .iter()
+                .map(|r| (r.model(), scale_units(r.units(), den))),
+        )?;
 
         // Bind through K3s before committing TPU state, so an orchestration
         // failure leaves the pool untouched.
@@ -506,8 +487,7 @@ impl ExtendedScheduler {
         let mut stages = Vec::with_capacity(plans.len());
         let mut load_rpcs = 0;
         for (model, allocations) in &plans {
-            let profile = self.catalog.expect(model).clone();
-            let newly_loaded = self.pool.commit(&profile, allocations);
+            let newly_loaded = self.pool.commit(self.catalog.expect(model), allocations);
             load_rpcs += u32::try_from(newly_loaded.len()).expect("loaded-model count fits u32");
             stages.push(StageGrant {
                 model: model.clone(),
@@ -519,7 +499,7 @@ impl ExtendedScheduler {
             pod,
             PodAssignment {
                 entries: plans,
-                full,
+                full: full_requests.iter().map(TpuRequest::units).collect(),
                 den,
             },
         );
@@ -610,15 +590,14 @@ impl ExtendedScheduler {
             for (model, allocs) in &assignment.entries {
                 self.pool.release(model, allocs);
             }
-            let requests = assignment.requests_at(assignment.den);
-            match self.plan_stages(&requests) {
+            match self.plan_stages(assignment.demand_at(assignment.den)) {
                 Ok(plans) => {
                     // Model loads on distinct TPUs proceed in parallel; the
                     // swap-in latency is bounded by the busiest device.
                     let mut per_tpu: BTreeMap<TpuId, u64> = BTreeMap::new();
                     for (model, allocs) in &plans {
-                        let profile = self.catalog.expect(model).clone();
-                        for loaded in self.pool.commit(&profile, allocs) {
+                        let profile = self.catalog.expect(model);
+                        for loaded in self.pool.commit(profile, allocs) {
                             *per_tpu.entry(loaded).or_insert(0) += profile.param_bytes();
                         }
                     }
@@ -691,12 +670,10 @@ impl ExtendedScheduler {
         for (model, allocs) in &assignment.entries {
             self.pool.release(model, allocs);
         }
-        let requests = assignment.requests_at(new_den);
-        match self.plan_stages(&requests) {
+        match self.plan_stages(assignment.demand_at(new_den)) {
             Ok(plans) => {
                 for (model, allocs) in &plans {
-                    let profile = self.catalog.expect(model).clone();
-                    self.pool.commit(&profile, allocs);
+                    self.pool.commit(self.catalog.expect(model), allocs);
                 }
                 self.assignments.insert(
                     pod,
@@ -711,8 +688,7 @@ impl ExtendedScheduler {
             Err(e) => {
                 // Roll back: recommit the original allocations.
                 for (model, allocs) in &assignment.entries {
-                    let profile = self.catalog.expect(model).clone();
-                    self.pool.commit(&profile, allocs);
+                    self.pool.commit(self.catalog.expect(model), allocs);
                 }
                 self.assignments.insert(pod, assignment);
                 Err(e)
@@ -745,12 +721,10 @@ impl ExtendedScheduler {
             for (model, allocs) in &original.entries {
                 self.pool.release(model, allocs);
             }
-            let requests = original.requests_at(original.den);
-            match self.plan_stages(&requests) {
+            match self.plan_stages(original.demand_at(original.den)) {
                 Ok(plans) => {
                     for (model, allocs) in &plans {
-                        let profile = self.catalog.expect(model).clone();
-                        self.pool.commit(&profile, allocs);
+                        self.pool.commit(self.catalog.expect(model), allocs);
                     }
                     self.assignments.insert(
                         pod,
@@ -765,8 +739,7 @@ impl ExtendedScheduler {
                 Err(_) => {
                     // Abort: undo this pod and every earlier migration.
                     for (model, allocs) in &original.entries {
-                        let profile = self.catalog.expect(model).clone();
-                        self.pool.commit(&profile, allocs);
+                        self.pool.commit(self.catalog.expect(model), allocs);
                     }
                     self.assignments.insert(pod, original);
                     for (mig_pod, old_assignment, new_entries) in migrated.drain(..).rev() {
@@ -774,8 +747,7 @@ impl ExtendedScheduler {
                             self.pool.release(model, allocs);
                         }
                         for (model, allocs) in &old_assignment.entries {
-                            let profile = self.catalog.expect(model).clone();
-                            self.pool.commit(&profile, allocs);
+                            self.pool.commit(self.catalog.expect(model), allocs);
                         }
                         self.assignments.insert(mig_pod, old_assignment);
                     }
@@ -845,30 +817,22 @@ impl ExtendedScheduler {
             for (model, allocs) in &assignment.entries {
                 scratch.release(model, allocs);
             }
-            let requests = assignment.requests_at(assignment.den);
-            let mut plans = Vec::with_capacity(requests.len());
+            let mut plans = Vec::with_capacity(assignment.entries.len());
             let mut per_tpu: BTreeMap<TpuId, u64> = BTreeMap::new();
-            for request in &requests {
+            for (model, units) in assignment.demand_at(assignment.den) {
                 let profile = self
                     .catalog
-                    .get(request.model())
-                    .ok_or_else(|| DeployError::UnknownModel(request.model().clone()))?
-                    .clone();
-                if !policy.plan_into(
-                    &scratch,
-                    &profile,
-                    request.units(),
-                    self.features,
-                    &mut buffer,
-                ) {
+                    .get(model)
+                    .ok_or_else(|| DeployError::UnknownModel(model.clone()))?;
+                if !policy.plan_into(&scratch, profile, units, self.features, &mut buffer) {
                     return Err(DeployError::InsufficientTpu);
                 }
                 let allocations = buffer.allocations().to_vec();
-                for loaded in scratch.commit(&profile, &allocations) {
+                for loaded in scratch.commit(profile, &allocations) {
                     *per_tpu.entry(loaded).or_insert(0) += profile.param_bytes();
                     *newly_loaded.entry(loaded).or_insert(0) += profile.param_bytes();
                 }
-                plans.push((request.model().clone(), allocations));
+                plans.push((model.clone(), allocations));
             }
             // Loads on distinct TPUs proceed in parallel; this pod's swap-in
             // window is bounded by its busiest destination (the same
@@ -914,8 +878,7 @@ impl ExtendedScheduler {
                 self.pool.release(model, allocs);
             }
             for (model, allocs) in &mv.plans {
-                let profile = self.catalog.expect(model).clone();
-                self.pool.commit(&profile, allocs);
+                self.pool.commit(self.catalog.expect(model), allocs);
             }
             self.assignments.insert(
                 mv.pod,

@@ -716,11 +716,11 @@ impl ShardedWorld {
             }
         }
         let end = self.now.max(SimTime::from_nanos(1));
-        let parts: Vec<RunResults> = self
-            .shards
-            .into_iter()
-            .map(|shard| shard.finish(end))
-            .collect();
+        // Shards share nothing at this point either: each finishes (and
+        // frees its state) on the pool. The map keeps shard order, so the
+        // merge sees the same input at any worker count.
+        let parts =
+            par::par_map_with_workers(self.shards, workers, move |_, shard| shard.finish(end));
         let mut results = RunResults::merge_shards(parts);
         let report = finish_fleet(self.fleet, &mut results, end);
         (results, report, self.net.finish(end))

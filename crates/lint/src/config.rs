@@ -150,13 +150,33 @@ pub fn is_taint_sink(name: &str) -> bool {
 }
 
 /// The cargo package a workspace-relative path belongs to, as named in
-/// `lint-baseline.toml` (`crates/core` -> `microedge-core`; the root
-/// package's `src/`, `examples/`, `tests/` -> `microedge`).
+/// `lint-baseline.toml` (`crates/core` -> `microedge-core`; `benchmark/`,
+/// a package and workspace of its own, -> `microedge-benchmark`; the root
+/// package's `src/`, `examples/`, `tests/` -> `microedge`). The per-crate
+/// call graph is keyed by it, so two packages' `main`s never merge.
 pub fn crate_of(rel: &str) -> String {
     if let Some(rest) = rel.strip_prefix("crates/") {
         if let Some(dir) = rest.split('/').next() {
             return format!("microedge-{dir}");
         }
     }
+    if rel.starts_with("benchmark/") {
+        return "microedge-benchmark".to_string();
+    }
     "microedge".to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::crate_of;
+
+    #[test]
+    fn crate_of_maps_paths_to_their_packages() {
+        assert_eq!(crate_of("crates/core/src/runtime.rs"), "microedge-core");
+        assert_eq!(crate_of("benchmark/src/span.rs"), "microedge-benchmark");
+        assert_eq!(crate_of("benchmark/tests/smoke.rs"), "microedge-benchmark");
+        assert_eq!(crate_of("examples/quickstart.rs"), "microedge");
+        assert_eq!(crate_of("src/lib.rs"), "microedge");
+        assert_eq!(crate_of("tests/end_to_end.rs"), "microedge");
+    }
 }

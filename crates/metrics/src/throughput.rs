@@ -123,7 +123,7 @@ impl ThroughputAudit {
     /// its active period only. A stream with backlog is always judged over
     /// the full window — falling behind must not flatter the rate.
     #[must_use]
-    pub fn report(&self, stream: &str, end: SimTime) -> SloReport {
+    pub fn report(&self, stream: impl Into<String>, end: SimTime) -> SloReport {
         let effective_end = match self.last_complete {
             Some(last) if self.completed == self.emitted => last.min(end),
             _ => end,
@@ -137,7 +137,7 @@ impl ThroughputAudit {
             0.0
         };
         SloReport {
-            stream: stream.to_owned(),
+            stream: stream.into(),
             target_fps: self.target_fps,
             achieved_fps: achieved,
             emitted: self.emitted,

@@ -7,7 +7,7 @@
 //! receives the candidate list, makes the TPU placement decision, and then
 //! binds through [`Orchestrator::create_pod_on`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use microedge_cluster::node::NodeId;
@@ -73,13 +73,15 @@ pub struct Orchestrator {
     cluster: Cluster,
     state: ClusterState,
     scheduler: DefaultScheduler,
-    pods: BTreeMap<PodId, PodRecord>,
+    /// Every pod ever created, indexed by id: ids are issued sequentially
+    /// from zero and never reused, so a dense `Vec` holds the records
+    /// without the half-empty leaves of an ordered map.
+    pods: Vec<PodRecord>,
     /// Names of running pods, kept in lockstep with `pods` so the
     /// uniqueness check on creation is an index probe instead of a scan of
     /// every record ever created — the scan was quadratic over a
     /// 100k-stream admission sweep.
     live_names: BTreeSet<String>,
-    next_id: u64,
     events: Vec<OrchEvent>,
 }
 
@@ -92,9 +94,8 @@ impl Orchestrator {
             cluster,
             state,
             scheduler: DefaultScheduler::new(),
-            pods: BTreeMap::new(),
+            pods: Vec::new(),
             live_names: BTreeSet::new(),
-            next_id: 0,
             events: Vec::new(),
         }
     }
@@ -192,9 +193,9 @@ impl Orchestrator {
     /// [`OrchError::UnknownPod`] when the pod does not exist or has already
     /// terminated.
     pub fn delete_pod(&mut self, pod: PodId) -> Result<NodeId, OrchError> {
-        let record = self
-            .pods
-            .get_mut(&pod)
+        let record = usize::try_from(pod.0)
+            .ok()
+            .and_then(|i| self.pods.get_mut(i))
             .filter(|r| r.phase == PodPhase::Running)
             .ok_or(OrchError::UnknownPod(pod))?;
         record.phase = PodPhase::Terminated;
@@ -224,7 +225,10 @@ impl Orchestrator {
         self.state.set_schedulable(node, false);
         let displaced = self.state.pods_on(node);
         for &pod in &displaced {
-            let record = self.pods.get_mut(&pod).expect("bound pod has a record");
+            let record = usize::try_from(pod.0)
+                .ok()
+                .and_then(|i| self.pods.get_mut(i))
+                .expect("bound pod has a record");
             record.phase = PodPhase::Terminated;
             self.live_names.remove(record.spec.name());
             self.state.unbind(pod).expect("displaced pod was bound");
@@ -259,29 +263,33 @@ impl Orchestrator {
     /// Lifecycle phase of `pod`, or `None` if the id was never issued.
     #[must_use]
     pub fn phase(&self, pod: PodId) -> Option<PodPhase> {
-        self.pods.get(&pod).map(|r| r.phase)
+        self.record(pod).map(|r| r.phase)
     }
 
     /// Spec of `pod`, or `None` if the id was never issued.
     #[must_use]
     pub fn spec(&self, pod: PodId) -> Option<&PodSpec> {
-        self.pods.get(&pod).map(|r| &r.spec)
+        self.record(pod).map(|r| &r.spec)
     }
 
     /// Node `pod` runs (or ran) on.
     #[must_use]
     pub fn node_of(&self, pod: PodId) -> Option<NodeId> {
-        self.pods.get(&pod).map(|r| r.node)
+        self.record(pod).map(|r| r.node)
     }
 
     /// Ids of all running pods, ascending.
     #[must_use]
     pub fn running_pods(&self) -> Vec<PodId> {
-        self.pods
-            .iter()
+        (0..)
+            .zip(&self.pods)
             .filter(|(_, r)| r.phase == PodPhase::Running)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| PodId(id))
             .collect()
+    }
+
+    fn record(&self, pod: PodId) -> Option<&PodRecord> {
+        self.pods.get(usize::try_from(pod.0).ok()?)
     }
 
     fn check_name(&self, spec: &PodSpec) -> Result<(), OrchError> {
@@ -293,23 +301,19 @@ impl Orchestrator {
     }
 
     fn bind(&mut self, spec: PodSpec, node: NodeId) -> PodId {
-        let id = PodId(self.next_id);
-        self.next_id += 1;
+        let id = PodId(u64::try_from(self.pods.len()).expect("pod count fits u64"));
         self.live_names.insert(spec.name().to_owned());
-        self.state.bind(id, spec.clone(), node);
+        self.state.bind(id, &spec, node);
         self.events.push(OrchEvent::PodScheduled {
             pod: id,
             name: spec.name().to_owned(),
             node,
         });
-        self.pods.insert(
-            id,
-            PodRecord {
-                spec,
-                phase: PodPhase::Running,
-                node,
-            },
-        );
+        self.pods.push(PodRecord {
+            spec,
+            phase: PodPhase::Running,
+            node,
+        });
         id
     }
 }

@@ -7,7 +7,6 @@
 //! `TPU Units`, paper §4.1) without the orchestrator substrate having to
 //! know about them.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -94,15 +93,31 @@ impl ResourceRequest {
 ///     .extension(EXT_TPU_UNITS, "0.35")
 ///     .build();
 /// assert_eq!(spec.extension(EXT_TPU_UNITS), Some("0.35"));
+/// // Extensions are a key-sorted slice of pairs.
+/// let keys: Vec<&str> = spec.extensions().iter().map(|(k, _)| k.as_str()).collect();
+/// assert_eq!(keys, [EXT_MODEL, EXT_TPU_UNITS]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PodSpec {
     name: String,
     image: String,
     resources: ResourceRequest,
-    node_selector: BTreeMap<String, String>,
+    /// Key-sorted, unique keys (see `insert_sorted`).
+    node_selector: Vec<(String, String)>,
     anti_affinity_group: Option<String>,
-    extensions: BTreeMap<String, String>,
+    /// Key-sorted, unique keys. A pod carries two extensions at most in
+    /// practice, and a sorted `Vec` holds them in one small allocation
+    /// where a `BTreeMap` would allocate a full B-tree leaf.
+    extensions: Vec<(String, String)>,
+}
+
+/// Inserts `key = value` into a key-sorted pair list; a later insert of the
+/// same key replaces the earlier value (map semantics).
+fn insert_sorted(pairs: &mut Vec<(String, String)>, key: &str, value: &str) {
+    match pairs.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+        Ok(i) => value.clone_into(&mut pairs[i].1),
+        Err(i) => pairs.insert(i, (key.to_owned(), value.to_owned())),
+    }
 }
 
 impl PodSpec {
@@ -113,9 +128,9 @@ impl PodSpec {
             name: name.to_owned(),
             image: image.to_owned(),
             resources: ResourceRequest::camera_default(),
-            node_selector: BTreeMap::new(),
+            node_selector: Vec::new(),
             anti_affinity_group: None,
-            extensions: BTreeMap::new(),
+            extensions: Vec::new(),
         }
     }
 
@@ -137,9 +152,9 @@ impl PodSpec {
         self.resources
     }
 
-    /// Node labels this pod requires.
+    /// Node labels this pod requires, sorted by key.
     #[must_use]
-    pub fn node_selector(&self) -> &BTreeMap<String, String> {
+    pub fn node_selector(&self) -> &[(String, String)] {
         &self.node_selector
     }
 
@@ -149,16 +164,19 @@ impl PodSpec {
         self.anti_affinity_group.as_deref()
     }
 
-    /// All extension key/value pairs.
+    /// All extension key/value pairs, sorted by key.
     #[must_use]
-    pub fn extensions(&self) -> &BTreeMap<String, String> {
+    pub fn extensions(&self) -> &[(String, String)] {
         &self.extensions
     }
 
     /// Looks up one extension value.
     #[must_use]
     pub fn extension(&self, key: &str) -> Option<&str> {
-        self.extensions.get(key).map(String::as_str)
+        self.extensions
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .ok()
+            .map(|i| self.extensions[i].1.as_str())
     }
 }
 
@@ -168,9 +186,9 @@ pub struct PodSpecBuilder {
     name: String,
     image: String,
     resources: ResourceRequest,
-    node_selector: BTreeMap<String, String>,
+    node_selector: Vec<(String, String)>,
     anti_affinity_group: Option<String>,
-    extensions: BTreeMap<String, String>,
+    extensions: Vec<(String, String)>,
 }
 
 impl PodSpecBuilder {
@@ -182,10 +200,10 @@ impl PodSpecBuilder {
         self
     }
 
-    /// Requires a node label.
+    /// Requires a node label (a repeated key replaces the earlier value).
     #[must_use]
     pub fn node_selector(mut self, key: &str, value: &str) -> Self {
-        self.node_selector.insert(key.to_owned(), value.to_owned());
+        insert_sorted(&mut self.node_selector, key, value);
         self
     }
 
@@ -196,10 +214,11 @@ impl PodSpecBuilder {
         self
     }
 
-    /// Adds an extension key/value pair.
+    /// Adds an extension key/value pair (a repeated key replaces the
+    /// earlier value).
     #[must_use]
     pub fn extension(mut self, key: &str, value: &str) -> Self {
-        self.extensions.insert(key.to_owned(), value.to_owned());
+        insert_sorted(&mut self.extensions, key, value);
         self
     }
 
@@ -212,13 +231,17 @@ impl PodSpecBuilder {
     pub fn build(self) -> PodSpec {
         assert!(!self.name.is_empty(), "pod name must be non-empty");
         assert!(!self.image.is_empty(), "image must be non-empty");
+        let (mut node_selector, mut extensions) = (self.node_selector, self.extensions);
+        // Pods live as long as the control plane; drop the growth slack.
+        node_selector.shrink_to_fit();
+        extensions.shrink_to_fit();
         PodSpec {
             name: self.name,
             image: self.image,
             resources: self.resources,
-            node_selector: self.node_selector,
+            node_selector,
             anti_affinity_group: self.anti_affinity_group,
-            extensions: self.extensions,
+            extensions,
         }
     }
 }
@@ -238,10 +261,37 @@ mod tests {
         assert_eq!(spec.name(), "cam");
         assert_eq!(spec.image(), "img:v1");
         assert_eq!(spec.resources().cpu_millis(), 250);
-        assert_eq!(spec.node_selector().get("zone").unwrap(), "east");
+        assert_eq!(
+            spec.node_selector(),
+            [("zone".to_owned(), "east".to_owned())]
+        );
         assert_eq!(spec.anti_affinity_group(), Some("coral-pie"));
         assert_eq!(spec.extension(EXT_MODEL), Some("unet-v2"));
         assert_eq!(spec.extension(EXT_TPU_UNITS), None);
+    }
+
+    #[test]
+    fn later_inserts_replace_and_pairs_stay_sorted() {
+        let spec = PodSpec::builder("cam", "img")
+            .extension("b", "1")
+            .extension("a", "2")
+            .extension("b", "3")
+            .node_selector("zone", "east")
+            .node_selector("zone", "west")
+            .build();
+        assert_eq!(
+            spec.extensions(),
+            [
+                ("a".to_owned(), "2".to_owned()),
+                ("b".to_owned(), "3".to_owned())
+            ]
+        );
+        assert_eq!(spec.extension("b"), Some("3"));
+        assert_eq!(spec.extension("c"), None);
+        assert_eq!(
+            spec.node_selector(),
+            [("zone".to_owned(), "west".to_owned())]
+        );
     }
 
     #[test]

@@ -303,10 +303,8 @@ extensions:
         assert_eq!(spec.resources().cpu_millis(), 500);
         assert_eq!(spec.resources().mem_bytes(), 256 * 1024 * 1024);
         assert_eq!(
-            spec.node_selector()
-                .get("microedge.io/tpu")
-                .map(String::as_str),
-            Some("true")
+            spec.node_selector(),
+            [("microedge.io/tpu".to_owned(), "true".to_owned())]
         );
         assert_eq!(spec.anti_affinity_group(), Some("coral-pie"));
         assert_eq!(spec.extension(EXT_MODEL), Some("ssd-mobilenet-v2"));

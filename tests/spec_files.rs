@@ -39,10 +39,8 @@ fn coral_pie_spec_deploys_with_paper_units() {
     assert_eq!(requests.len(), 1);
     assert_eq!(requests[0].units(), TpuUnits::from_f64(0.35));
     assert_eq!(
-        spec.node_selector()
-            .get("microedge.io/tpu")
-            .map(String::as_str),
-        Some("true")
+        spec.node_selector(),
+        [("microedge.io/tpu".to_owned(), "true".to_owned())]
     );
 
     let (mut orch, mut sched) = fresh();
