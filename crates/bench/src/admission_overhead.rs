@@ -364,10 +364,12 @@ impl AdmissionPerf {
             let comma = if i + 1 < self.points.len() { "," } else { "" };
             let _ = write!(
                 points,
-                "\n    {{\"tpus\": {tpus}, \"iterations\": {iters}, \
-                 \"pre\": {{\"algorithm\": \"{pre}\", \"ns_per_plan\": {lns:.1}, \"plans_per_sec\": {lps:.0}}}, \
-                 \"post\": {{\"algorithm\": \"{post}\", \"ns_per_plan\": {ins:.1}, \"plans_per_sec\": {ips:.0}}}, \
-                 \"speedup\": {speedup:.2}}}{comma}",
+                "\n    {{\"tpus\": {tpus}, \"iterations\": {iters},\
+                 \n      \"pre\": {{\"algorithm\": \"{pre}\",\
+                 \n        \"host_ns_per_plan\": {lns:.1}, \"host_plans_per_sec\": {lps:.0}}},\
+                 \n      \"post\": {{\"algorithm\": \"{post}\",\
+                 \n        \"host_ns_per_plan\": {ins:.1}, \"host_plans_per_sec\": {ips:.0}}},\
+                 \n      \"host_speedup\": {speedup:.2}}}{comma}",
                 tpus = p.tpus,
                 iters = p.iterations,
                 pre = self.pre_label,
@@ -385,7 +387,7 @@ impl AdmissionPerf {
         format!(
             "{{\n  \"benchmark\": \"admission_plan_throughput\",\n  \
              \"workload\": \"{workload}\",\n  \"rounds\": {rounds},\n  \
-             \"speedup_at_4096\": {at_4096},\n  \"points\": [{points}\n  ]\n}}\n",
+             \"host_speedup_at_4096\": {at_4096},\n  \"points\": [{points}\n  ]\n}}\n",
             workload = ADMISSION_WORKLOAD,
             rounds = self.rounds,
         )
@@ -587,9 +589,9 @@ mod tests {
         assert!(json.contains("\"benchmark\": \"admission_plan_throughput\""));
         assert!(json.contains("\"pre\""));
         assert!(json.contains("\"post\""));
-        assert!(json.contains("\"plans_per_sec\""));
-        assert!(json.contains("\"speedup_at_4096\""));
-        assert!(!json.contains("\"speedup_at_4096\": null"));
+        assert!(json.contains("\"host_plans_per_sec\""));
+        assert!(json.contains("\"host_speedup_at_4096\""));
+        assert!(!json.contains("\"host_speedup_at_4096\": null"));
         assert!(json.ends_with("}\n"));
     }
 

@@ -544,6 +544,7 @@ pub fn to_json(study: &DefragStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strip_host_lines;
 
     #[test]
     fn quick_study_defrag_dominates_plain() {
@@ -581,12 +582,6 @@ mod tests {
     fn study_is_deterministic() {
         let a = to_json(&run_defrag_study(true));
         let b = to_json(&run_defrag_study(true));
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"host_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a), strip(&b));
+        assert_eq!(strip_host_lines(&a), strip_host_lines(&b));
     }
 }

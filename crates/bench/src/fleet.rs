@@ -547,13 +547,7 @@ pub fn to_json(perf: &FleetPerf, tiers: &[FleetChaosTier]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::strip_host_lines;
 
     #[test]
     fn sweep_measures_every_size_and_finds_the_far_cluster() {

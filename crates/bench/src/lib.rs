@@ -50,3 +50,13 @@ pub mod tail_latency;
 pub mod trace_study;
 
 pub use runner::{build_world, experiment_cluster, SystemConfig};
+
+/// The determinism filter: an artifact with every `host_` measurement line
+/// removed — exactly what `scripts/check.sh` byte-compares.
+#[cfg(test)]
+pub(crate) fn strip_host_lines(json: &str) -> String {
+    json.lines()
+        .filter(|l| !l.contains("\"host_"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}

@@ -380,13 +380,7 @@ pub fn to_json(tiers: &[NetChaosTier]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::strip_host_lines;
 
     #[test]
     fn loss_tiers_degrade_monotonically() {

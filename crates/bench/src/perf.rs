@@ -2,19 +2,10 @@
 //!
 //! Times the simulation kernel on a fixed reference workload — the five
 //! Fig. 6 configurations replayed over the 60-minute downsized trace
-//! (seed 42, 6 TPUs) — and compares against the pre-overhaul kernel's
-//! numbers recorded on the same workload. The configurations are run
-//! *serially* here, on purpose: the harness measures single-thread kernel
-//! throughput, not the parallel sweep.
-//!
-//! Two events/sec figures are reported. The overhaul removed the
-//! per-frame `Complete` event class (completions are recorded inline when
-//! their timing is decided), so the same replay now delivers ~25 % fewer
-//! events while producing identical results. The *raw* rate divides the
-//! current event count by wall-clock; the *pre-PR-equivalent* rate divides
-//! the pre-overhaul event count for this exact workload by the current
-//! wall-clock, which is the honest like-for-like throughput comparison —
-//! the work done (same trace, same decisions, same outputs) is unchanged.
+//! (seed 42, 6 TPUs). The configurations are run *serially* here, on
+//! purpose: the harness measures single-thread kernel throughput, not the
+//! parallel sweep. Event counts are deterministic; every timing sits on a
+//! `host_` line of `BENCH_kernel.json`, which the determinism gate strips.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -23,14 +14,6 @@ use microedge_sim::time::SimDuration;
 use microedge_workloads::trace::{synthesize, TraceConfig};
 
 use crate::trace_study::{fig6_configs, run_trace};
-
-/// Wall-clock for the reference workload on the pre-overhaul kernel
-/// (best of 3 on the development host, release profile).
-pub const PRE_PR_WALL_S: f64 = 0.520;
-
-/// Events the pre-overhaul kernel delivered for the reference workload
-/// (deterministic; the count is exact, not a measurement).
-pub const PRE_PR_EVENTS: u64 = 8_145_757;
 
 /// One configuration's timing within the reference replay.
 #[derive(Debug, Clone)]
@@ -57,23 +40,10 @@ pub struct KernelPerf {
 }
 
 impl KernelPerf {
-    /// Raw throughput: current events over current wall-clock.
+    /// Throughput: events over best-of-rounds wall-clock.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s
-    }
-
-    /// Pre-PR-equivalent throughput: the pre-overhaul event count for this
-    /// workload over the current wall-clock (see module docs).
-    #[must_use]
-    pub fn equivalent_events_per_sec(&self) -> f64 {
-        PRE_PR_EVENTS as f64 / self.wall_s
-    }
-
-    /// Wall-clock speedup over the pre-overhaul kernel.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        PRE_PR_WALL_S / self.wall_s
     }
 
     /// Renders the `BENCH_kernel.json` document.
@@ -88,21 +58,16 @@ impl KernelPerf {
             };
             let _ = write!(
                 configs,
-                "\n    {{\"config\": \"{}\", \"wall_s\": {:.6}, \"events\": {}}}{comma}",
-                c.config, c.wall_s, c.events
+                "\n    {{\"config\": \"{}\", \"events\": {},\n      \"host_wall_s\": {:.6}}}{comma}",
+                c.config, c.events, c.wall_s
             );
         }
         format!(
-            "{{\n  \"benchmark\": \"fig6_trace_study_kernel\",\n  \"workload\": \"60-min downsized trace, seed 42, 6 TPUs, 5 configs, serial\",\n  \"rounds\": {rounds},\n  \"pre_pr\": {{\n    \"wall_s\": {pre_wall:.6},\n    \"events\": {pre_events},\n    \"events_per_sec\": {pre_eps:.0}\n  }},\n  \"current\": {{\n    \"wall_s\": {wall:.6},\n    \"events\": {events},\n    \"events_per_sec\": {eps:.0},\n    \"pre_pr_equivalent_events_per_sec\": {eq_eps:.0}\n  }},\n  \"speedup_wall\": {speedup:.2},\n  \"per_config\": [{configs}\n  ]\n}}\n",
+            "{{\n  \"benchmark\": \"fig6_trace_study_kernel\",\n  \"workload\": \"60-min downsized trace, seed 42, 6 TPUs, 5 configs, serial\",\n  \"rounds\": {rounds},\n  \"events\": {events},\n  \"host_wall_s\": {wall:.6},\n  \"host_events_per_sec\": {eps:.0},\n  \"per_config\": [{configs}\n  ]\n}}\n",
             rounds = self.rounds,
-            pre_wall = PRE_PR_WALL_S,
-            pre_events = PRE_PR_EVENTS,
-            pre_eps = PRE_PR_EVENTS as f64 / PRE_PR_WALL_S,
-            wall = self.wall_s,
             events = self.events,
+            wall = self.wall_s,
             eps = self.events_per_sec(),
-            eq_eps = self.equivalent_events_per_sec(),
-            speedup = self.speedup(),
         )
     }
 
@@ -111,18 +76,11 @@ impl KernelPerf {
     pub fn render_summary(&self) -> String {
         let mut out = format!(
             "### Kernel perf — Fig. 6 trace study, best of {} rounds (serial)\n\
-             pre-PR kernel : {:.3} s, {} events ({:.1}M ev/s)\n\
-             this kernel   : {:.3} s, {} events ({:.1}M ev/s raw, {:.1}M ev/s pre-PR-equivalent)\n\
-             wall speedup  : {:.2}x\n",
+             kernel : {:.3} s, {} events ({:.1}M ev/s)\n",
             self.rounds,
-            PRE_PR_WALL_S,
-            PRE_PR_EVENTS,
-            PRE_PR_EVENTS as f64 / PRE_PR_WALL_S / 1e6,
             self.wall_s,
             self.events,
             self.events_per_sec() / 1e6,
-            self.equivalent_events_per_sec() / 1e6,
-            self.speedup(),
         );
         for c in &self.per_config {
             let _ = writeln!(
@@ -179,7 +137,7 @@ pub fn run_kernel_perf_with(
 }
 
 /// Times the reference workload: the 60-minute downsized trace, seed 42,
-/// 6 TPUs — the workload [`PRE_PR_WALL_S`] and [`PRE_PR_EVENTS`] describe.
+/// 6 TPUs.
 #[must_use]
 pub fn run_kernel_perf(rounds: u32) -> KernelPerf {
     let mut cfg = TraceConfig::microedge_downsized();
@@ -213,10 +171,19 @@ mod tests {
     fn json_has_both_throughput_definitions() {
         let perf = quick_perf();
         let json = perf.to_json();
-        assert!(json.contains("\"pre_pr\""));
-        assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"pre_pr_equivalent_events_per_sec\""));
-        assert!(json.contains("\"speedup_wall\""));
+        // Event counts stay on deterministic lines; every timing is on a
+        // host_ line of its own.
+        assert!(json.contains(&format!("\"events\": {},", perf.events)));
+        assert!(json.contains("\"host_wall_s\""));
+        assert!(json.contains("\"host_events_per_sec\""));
+        for line in json.lines() {
+            let host = line.contains("\"host_");
+            let timed = line.contains("wall_s") || line.contains("events_per_sec");
+            assert_eq!(host, timed, "{line}");
+            assert!(!(host && line.contains("\"events\"")), "{line}");
+        }
+        assert!(!json.contains("pre_pr"));
+        assert!(!json.contains("speedup"));
         assert!(json.ends_with("}\n"));
     }
 
@@ -227,6 +194,6 @@ mod tests {
         for c in &perf.per_config {
             assert!(text.contains(&c.config));
         }
-        assert!(text.contains("speedup"));
+        assert!(text.contains("M ev/s"));
     }
 }

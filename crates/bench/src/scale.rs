@@ -332,6 +332,7 @@ impl ScaleStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strip_host_lines;
 
     #[test]
     fn point_admits_every_stream_and_completes_frames() {
@@ -356,15 +357,6 @@ mod tests {
             "sketch telemetry must not grow with frames"
         );
         assert!(long.frames > short.frames);
-    }
-
-    /// The CI filter: the artifact with every `host_` measurement line
-    /// removed — exactly what `scripts/check.sh` byte-compares.
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
     }
 
     #[test]

@@ -297,13 +297,7 @@ pub fn render_bench_json(serial: &ScaleStudy, sharded: &ShardedScaleStudy) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::strip_host_lines;
 
     #[test]
     fn sharded_point_completes_every_frame_and_routes_exports() {

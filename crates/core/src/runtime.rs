@@ -578,11 +578,21 @@ struct ChaosState {
     reconcile_at: Option<SimTime>,
 }
 
+/// One stream's outcome: its SLO audit, the latency of its TPU-served
+/// frames, and the phase it ended the run in.
+#[derive(Debug, Clone)]
+struct StreamOutcome {
+    report: SloReport,
+    latency: OnlineStats,
+    phase: StreamPhase,
+}
+
 /// Aggregated outcome of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResults {
-    reports: BTreeMap<StreamId, SloReport>,
-    latencies: BTreeMap<StreamId, OnlineStats>,
+    /// Per-stream outcomes, one column per shard indexed by the shard-local
+    /// id; an unsharded run has exactly one column.
+    streams: Vec<Vec<StreamOutcome>>,
     average_utilization: f64,
     per_device_utilization: Vec<f64>,
     windowed_utilization: Vec<f64>,
@@ -595,32 +605,52 @@ pub struct RunResults {
     end: SimTime,
     recovery: RecoveryRecorder,
     availability: BTreeMap<StreamId, StreamAvailability>,
-    phases: BTreeMap<StreamId, StreamPhase>,
     lineage: BTreeMap<StreamId, StreamId>,
-    chain_latencies: BTreeMap<StreamId, OnlineStats>,
     remote_ingest: LogLinearSketch,
     commands_failed: u64,
     defrag: DefragStats,
 }
 
 impl RunResults {
+    /// The outcome of one stream; `None` for an unknown shard or local id.
+    fn outcome(&self, stream: StreamId) -> Option<&StreamOutcome> {
+        let shard = usize::try_from(stream.0 >> SHARD_ID_SHIFT).ok()?;
+        let local = usize::try_from(stream.local().0).ok()?;
+        self.streams.get(shard)?.get(local)
+    }
+
+    /// Every stream's outcome with its global id, in id order (shard-major).
+    fn outcomes(&self) -> impl Iterator<Item = (StreamId, &StreamOutcome)> {
+        self.streams.iter().zip(0u64..).flat_map(|(column, shard)| {
+            column
+                .iter()
+                .zip(0u64..)
+                .map(move |(o, local)| (StreamId((shard << SHARD_ID_SHIFT) | local), o))
+        })
+    }
+
+    /// `from` and every incarnation that superseded it, in creation order.
+    fn incarnations(&self, from: StreamId) -> impl Iterator<Item = StreamId> + '_ {
+        std::iter::successors(Some(from), |id| self.lineage.get(id).copied())
+    }
+
     /// The SLO report for one stream.
     #[must_use]
     pub fn report(&self, stream: StreamId) -> Option<&SloReport> {
-        self.reports.get(&stream)
+        self.outcome(stream).map(|o| &o.report)
     }
 
     /// All stream reports, in stream order.
     #[must_use]
     pub fn reports(&self) -> Vec<&SloReport> {
-        self.reports.values().collect()
+        self.outcomes().map(|(_, o)| &o.report).collect()
     }
 
     /// Per-frame end-to-end latency statistics (milliseconds) of one
     /// stream's TPU-served frames.
     #[must_use]
     pub fn latency(&self, stream: StreamId) -> Option<&OnlineStats> {
-        self.latencies.get(&stream)
+        self.outcome(stream).map(|o| &o.latency)
     }
 
     /// `true` when every TPU-served frame of every stream finished within
@@ -628,15 +658,14 @@ impl RunResults {
     /// (unbounded queue build-up would eventually violate it).
     #[must_use]
     pub fn all_within_latency(&self, bound: SimDuration) -> bool {
-        self.latencies
-            .values()
-            .all(|s| s.max().unwrap_or(0.0) <= bound.as_millis_f64())
+        self.outcomes()
+            .all(|(_, o)| o.latency.max().unwrap_or(0.0) <= bound.as_millis_f64())
     }
 
     /// `true` when every stream met its FPS SLO.
     #[must_use]
     pub fn all_met_fps(&self) -> bool {
-        self.reports.values().all(SloReport::met_fps)
+        self.outcomes().all(|(_, o)| o.report.met_fps())
     }
 
     /// Mean TPU utilization over the whole run (Fig. 5b/5d).
@@ -661,13 +690,6 @@ impl RunResults {
     #[must_use]
     pub fn breakdowns(&self) -> &BreakdownRecorder {
         &self.breakdowns
-    }
-
-    /// Mutable access to the latency statistics (e.g. for merging results
-    /// from sharded runs via [`BreakdownRecorder::merge`]; percentile
-    /// queries only need [`RunResults::breakdowns`]).
-    pub fn breakdowns_mut(&mut self) -> &mut BreakdownRecorder {
-        &mut self.breakdowns
     }
 
     /// Per-device execution counters.
@@ -718,10 +740,9 @@ impl RunResults {
         &self.recovery
     }
 
-    /// Mutable access to the recovery recorder (e.g. for merging results
-    /// from sharded runs via [`RecoveryRecorder::merge`]; percentile
-    /// queries only need [`RunResults::recovery`]).
-    pub fn recovery_mut(&mut self) -> &mut RecoveryRecorder {
+    /// Mutable access to the recovery recorder, for folding in the fleet
+    /// tier's recoveries via [`RecoveryRecorder::merge`].
+    pub(crate) fn recovery_mut(&mut self) -> &mut RecoveryRecorder {
         &mut self.recovery
     }
 
@@ -762,17 +783,20 @@ impl RunResults {
     }
 
     /// Merges per-shard results into one fleet-level [`RunResults`], the
-    /// final step of a sharded replay. Stream ids are remapped with
-    /// [`StreamId::with_shard`] so shards cannot collide; distributions
-    /// merge via the PR 4 sketch merges (merge ≡ concatenated recording),
-    /// counters sum, and utilization averages weight each shard by its
-    /// device count. The merge is pure data-plumbing — shard order is fixed
-    /// by the caller's `Vec`, so the result is deterministic.
+    /// final step of a sharded replay. Each part is one shard's unsharded
+    /// result: its stream column is appended in shard order, so a stream's
+    /// global id is its [`StreamId::with_shard`] packing and no per-stream
+    /// entry is touched. Only the lineage and availability maps are
+    /// remapped into the global id space. Distributions merge via the
+    /// sketch merges (merge ≡ concatenated recording), counters sum, and
+    /// utilization averages weight each shard by its device count. The
+    /// merge is pure data-plumbing — shard order is fixed by the caller's
+    /// `Vec`, so the result is deterministic.
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is empty or a shard-local stream id overflows the
-    /// 40-bit local field.
+    /// Panics if `parts` is empty or a shard-local lineage or availability
+    /// id overflows the 40-bit local field.
     #[must_use]
     pub fn merge_shards(parts: Vec<RunResults>) -> RunResults {
         assert!(!parts.is_empty(), "cannot merge zero shards");
@@ -783,8 +807,7 @@ impl RunResults {
             .max()
             .unwrap_or(0);
         let mut merged = RunResults {
-            reports: BTreeMap::new(),
-            latencies: BTreeMap::new(),
+            streams: Vec::with_capacity(parts.len()),
             average_utilization: 0.0,
             per_device_utilization: Vec::with_capacity(total_devices),
             windowed_utilization: vec![0.0; windows],
@@ -797,15 +820,12 @@ impl RunResults {
             end: SimTime::ZERO,
             recovery: RecoveryRecorder::new(),
             availability: BTreeMap::new(),
-            phases: BTreeMap::new(),
             lineage: BTreeMap::new(),
-            chain_latencies: BTreeMap::new(),
             remote_ingest: LogLinearSketch::new(),
             commands_failed: 0,
             defrag: DefragStats::default(),
         };
-        for (shard, part) in parts.into_iter().enumerate() {
-            let shard = u32::try_from(shard).expect("shard count fits u32");
+        for (part, shard) in parts.into_iter().zip(0u32..) {
             let remap = |id: StreamId| id.with_shard(shard);
             // A shard's windows are that shard's fleet average; weight by
             // its device share (a shard that ended early idles at 0).
@@ -822,27 +842,14 @@ impl RunResults {
             {
                 *w += v * weight;
             }
-            merged
-                .reports
-                .extend(part.reports.into_iter().map(|(id, r)| (remap(id), r)));
-            merged
-                .latencies
-                .extend(part.latencies.into_iter().map(|(id, s)| (remap(id), s)));
+            merged.streams.extend(part.streams);
             merged
                 .availability
                 .extend(part.availability.into_iter().map(|(id, a)| (remap(id), a)));
-            merged
-                .phases
-                .extend(part.phases.into_iter().map(|(id, p)| (remap(id), p)));
             merged.lineage.extend(
                 part.lineage
                     .into_iter()
                     .map(|(old, new)| (remap(old), remap(new))),
-            );
-            merged.chain_latencies.extend(
-                part.chain_latencies
-                    .into_iter()
-                    .map(|(id, s)| (remap(id), s)),
             );
             merged
                 .per_device_utilization
@@ -879,40 +886,40 @@ impl RunResults {
     /// sharded replay's whole-cluster evacuations, keyed by the evacuated
     /// stream's packed global id. Overrides any per-shard entry for the
     /// same id (the fleet tier has the complete outage picture).
-    pub fn merge_availability(&mut self, root: StreamId, availability: StreamAvailability) {
+    pub(crate) fn merge_availability(&mut self, root: StreamId, availability: StreamAvailability) {
         self.availability.insert(root, availability);
     }
 
     /// Records that `old` was superseded by `new` — the fleet tier's
     /// cross-cluster re-admission lineage, in the packed global id space.
-    pub fn link_lineage(&mut self, old: StreamId, new: StreamId) {
+    pub(crate) fn link_lineage(&mut self, old: StreamId, new: StreamId) {
         self.lineage.insert(old, new);
     }
 
     /// The phase each stream ended the run in.
     #[must_use]
     pub fn stream_phase(&self, stream: StreamId) -> Option<StreamPhase> {
-        self.phases.get(&stream).copied()
+        self.outcome(stream).map(|o| o.phase)
+    }
+
+    /// Streams that ended the run in `phase`, in id order.
+    fn streams_in(&self, phase: StreamPhase) -> Vec<StreamId> {
+        self.outcomes()
+            .filter(|(_, o)| o.phase == phase)
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Streams that ended the run lost (no pending recovery).
     #[must_use]
     pub fn lost_streams(&self) -> Vec<StreamId> {
-        self.phases
-            .iter()
-            .filter(|(_, p)| **p == StreamPhase::Lost)
-            .map(|(&id, _)| id)
-            .collect()
+        self.streams_in(StreamPhase::Lost)
     }
 
     /// Streams still waiting in the pending-restart queue at end of run.
     #[must_use]
     pub fn parked_streams(&self) -> Vec<StreamId> {
-        self.phases
-            .iter()
-            .filter(|(_, p)| **p == StreamPhase::Parked)
-            .map(|(&id, _)| id)
-            .collect()
+        self.streams_in(StreamPhase::Parked)
     }
 
     /// The stream that superseded `stream` via a restart, if any.
@@ -922,11 +929,19 @@ impl RunResults {
     }
 
     /// End-to-end latency statistics merged across every incarnation of the
-    /// lineage rooted at `root` — restarts no longer fragment a stream's
-    /// history.
+    /// lineage rooted at `root`, in creation order — restarts no longer
+    /// fragment a stream's history. In a sharded run the chain also follows
+    /// the fleet's cross-cluster re-admissions. For a non-root id the chain
+    /// starts at that incarnation. `None` for an unknown id.
     #[must_use]
-    pub fn chain_latency(&self, root: StreamId) -> Option<&OnlineStats> {
-        self.chain_latencies.get(&root)
+    pub fn chain_latency(&self, root: StreamId) -> Option<OnlineStats> {
+        let mut stats = self.latency(root)?.clone();
+        for id in self.incarnations(root).skip(1) {
+            if let Some(next) = self.latency(id) {
+                stats.merge(next);
+            }
+        }
+        Some(stats)
     }
 
     /// Renders the whole run as an aligned report: one row per stream
@@ -942,14 +957,14 @@ impl RunResults {
             "max e2e (ms)",
             "SLO",
         ]);
-        for (id, report) in &self.reports {
-            let latency = self.latencies.get(id);
+        for (_, o) in self.outcomes() {
+            let (report, latency) = (&o.report, &o.latency);
             table.row_owned(vec![
                 report.stream().to_owned(),
                 report.completed().to_string(),
                 format!("{:.2}", report.achieved_fps()),
-                format!("{:.2}", latency.map_or(0.0, OnlineStats::mean)),
-                format!("{:.2}", latency.and_then(OnlineStats::max).unwrap_or(0.0)),
+                format!("{:.2}", latency.mean()),
+                format!("{:.2}", latency.max().unwrap_or(0.0)),
                 if report.met_fps() { "met" } else { "VIOLATED" }.to_owned(),
             ]);
         }
@@ -2634,53 +2649,21 @@ impl World {
     #[must_use]
     pub fn finish(self, end: SimTime) -> RunResults {
         // One pass that takes every stream apart: names move into their
-        // reports; only the chain map copies a latency. The per-stream
-        // columns are built in id order and bulk-loaded into their maps.
-        let count = self.streams.len();
-        let mut reports = Vec::with_capacity(count);
-        let mut latencies = Vec::with_capacity(count);
-        let mut phases = Vec::with_capacity(count);
-        let mut chain_latencies: BTreeMap<StreamId, OnlineStats> = BTreeMap::new();
-        for (i, s) in self.streams.into_iter().enumerate() {
-            let id = StreamId::from_index(i);
-            chain_latencies
-                .entry(s.root)
-                .and_modify(|stats| stats.merge(&s.latency))
-                .or_insert_with(|| s.latency.clone());
-            reports.push((id, s.audit.report(s.spec.name, end)));
-            latencies.push((id, s.latency));
-            phases.push((id, s.phase));
-        }
-        let phases: BTreeMap<StreamId, StreamPhase> = phases.into_iter().collect();
-        let average_utilization = self.fleet.average_utilization(end);
-        let per_device_utilization = self.fleet.per_device_utilization(end);
-        let windowed_utilization = self.fleet.into_windowed_average(end);
-        let lineage = self.lineage;
-        let (recovery, availability) = match self.chaos {
-            Some(chaos) => {
-                let chaos = *chaos;
-                let mut availability = BTreeMap::new();
-                for (root, tracker) in chaos.trackers {
-                    // A lineage counts as lost only when its final
-                    // incarnation ended the run lost (parked streams were
-                    // still pending recovery).
-                    let mut tail = root;
-                    while let Some(&next) = lineage.get(&tail) {
-                        tail = next;
-                    }
-                    let lost = phases.get(&tail) == Some(&StreamPhase::Lost);
-                    availability.insert(root, tracker.finish(end, lost));
-                }
-                (chaos.recorder, availability)
-            }
-            None => (RecoveryRecorder::new(), BTreeMap::new()),
-        };
-        RunResults {
-            reports: reports.into_iter().collect(),
-            latencies: latencies.into_iter().collect(),
-            average_utilization,
-            per_device_utilization,
-            windowed_utilization,
+        // reports, latencies and phases move into the stream column.
+        let column = self
+            .streams
+            .into_iter()
+            .map(|s| StreamOutcome {
+                report: s.audit.report(s.spec.name, end),
+                latency: s.latency,
+                phase: s.phase,
+            })
+            .collect();
+        let mut results = RunResults {
+            streams: vec![column],
+            average_utilization: self.fleet.average_utilization(end),
+            per_device_utilization: self.fleet.per_device_utilization(end),
+            windowed_utilization: self.fleet.into_windowed_average(end),
             breakdowns: self.breakdowns,
             device_stats: self.services.iter().map(|s| s.device.stats()).collect(),
             max_queue_depths: self.services.iter().map(|s| s.max_depth).collect(),
@@ -2688,15 +2671,26 @@ impl World {
             frames_dropped: self.frames_dropped,
             events_processed: self.queue.events_processed(),
             end,
-            recovery,
-            availability,
-            phases,
-            lineage,
-            chain_latencies,
+            recovery: RecoveryRecorder::new(),
+            availability: BTreeMap::new(),
+            lineage: self.lineage,
             remote_ingest: self.ingest,
             commands_failed: self.commands_failed,
             defrag: self.defrag.map_or_else(DefragStats::default, |d| d.stats),
+        };
+        if let Some(chaos) = self.chaos {
+            let chaos = *chaos;
+            results.recovery = chaos.recorder;
+            for (root, tracker) in chaos.trackers {
+                // A lineage counts as lost only when its final incarnation
+                // ended the run lost (parked streams were still pending
+                // recovery).
+                let tail = results.incarnations(root).fold(root, |_, id| id);
+                let lost = results.stream_phase(tail) == Some(StreamPhase::Lost);
+                results.availability.insert(root, tracker.finish(end, lost));
+            }
         }
+        results
     }
 
     /// Cameras-served step series finaliser (Fig. 6b): per-window average
@@ -2964,6 +2958,30 @@ mod tests {
         assert_eq!(report.emitted(), 150);
         assert_eq!(report.completed(), 150);
         assert!(report.met_fps(), "achieved {}", report.achieved_fps());
+    }
+
+    #[test]
+    fn result_lookups_of_unknown_ids_return_none() {
+        let run = || {
+            let mut w = world(1, Features::all());
+            w.admit_stream(coral_pie("cam", 30)).unwrap();
+            w.run_to_completion(SimTime::from_secs(10))
+        };
+        let unsharded = run();
+        let merged = RunResults::merge_shards(vec![run(), run()]);
+        for (results, shards) in [(&unsharded, 1), (&merged, 2)] {
+            let last = StreamId(0).with_shard(shards - 1);
+            assert!(results.report(last).is_some());
+            assert!(results.latency(last).is_some());
+            assert!(results.stream_phase(last).is_some());
+            let unknown_shard = StreamId(0).with_shard(shards);
+            let out_of_range_local = StreamId(1).with_shard(0);
+            for id in [unknown_shard, out_of_range_local, StreamId(u64::MAX)] {
+                assert!(results.report(id).is_none(), "{id}");
+                assert!(results.latency(id).is_none(), "{id}");
+                assert!(results.stream_phase(id).is_none(), "{id}");
+            }
+        }
     }
 
     #[test]

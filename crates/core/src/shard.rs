@@ -35,8 +35,8 @@
 //! Determinism therefore needs no synchronisation beyond the barrier: the
 //! worker pool only decides *when* a shard's epoch runs, never *what* it
 //! observes. The per-shard results merge into one fleet-level
-//! [`RunResults`] via [`RunResults::merge_shards`] (sketch merges + integer
-//! sums), and a single-shard `ShardedWorld` is byte-identical to the plain
+//! [`RunResults`] via [`RunResults::merge_shards`] (per-shard stream
+//! columns concatenated, sketch merges + integer sums), and a single-shard `ShardedWorld` is byte-identical to the plain
 //! `World` it wraps — the differential oracle `tests/sharded_determinism.rs`
 //! pins down.
 //!
@@ -1318,6 +1318,12 @@ mod tests {
         // Both incarnations made progress.
         assert!(results.report(origin).unwrap().completed() > 0);
         assert!(results.report(successor).unwrap().completed() > 0);
+        // The chain's latency covers both incarnations across the shard
+        // boundary.
+        assert_eq!(
+            results.chain_latency(origin).unwrap().count(),
+            results.latency(origin).unwrap().count() + results.latency(successor).unwrap().count()
+        );
         // Downtime spans fault (2.2 s) to the re-admitting barrier
         // (2.5 s): 300 ms, one restart, not lost.
         let avail = &results.availabilities()[&origin];

@@ -53,4 +53,16 @@ for study in scale fleet net defrag chaos; do
   assert_deterministic_artifact "BENCH_$study.json" "$artifacts_out/w1" "$artifacts_out/w8"
 done
 
+# The perf harness times the kernel and the admission planner; its event
+# counts, sizes and labels must match across worker counts like any other
+# artifact once the host_ timing lines are stripped.
+echo "==> perf harness smoke + determinism (repro --perf --quick, 1 vs 8 workers)"
+for workers in 1 8; do
+  MICROEDGE_WORKERS=$workers cargo run --release -p microedge-bench --bin repro -- \
+    --perf --quick --csv "$artifacts_out/perf-w$workers"
+done
+for artifact in BENCH_kernel.json BENCH_admission.json; do
+  assert_deterministic_artifact "$artifact" "$artifacts_out/perf-w1" "$artifacts_out/perf-w8"
+done
+
 echo "All checks passed."
