@@ -32,9 +32,10 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 fn bench_event_queue_1m(c: &mut Criterion) {
-    // The two-tier queue at scale: a million events spread over ~100
-    // simulated seconds, far beyond the near-future ring, so the bench
-    // exercises overflow-heap migration as well as bucket scans.
+    // The queue at scale: a million events spread over ~100 simulated
+    // seconds, mostly beyond the coarse ring's ≈ 8.6 s horizon, so the
+    // bench exercises heap-to-ring migration, coarse cascades and fine
+    // bucket scans.
     c.bench_function("micro/event_queue_push_pop_1m", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -46,6 +47,45 @@ fn bench_event_queue_1m(c: &mut Criterion) {
                 sum = sum.wrapping_add(v);
             }
             sum
+        })
+    });
+}
+
+fn bench_event_queue_periodic(c: &mut Criterion) {
+    // The kernel's dispatch shape at one shard of the 100k-camera tier:
+    // 2 000 periodic 1 FPS timers, each tick spawning two short children
+    // (Frame → Arrive after pre-processing → Done after the invocation)
+    // and re-arming itself one second ahead, over 10 simulated seconds.
+    // Payloads are 48 bytes like the runtime's events, so a staged event
+    // fills one 64-byte line.
+    const TIMERS: u64 = 2_000;
+    const FRAME: u64 = 0;
+    const ARRIVE: u64 = 1;
+    const DONE: u64 = 2;
+    let period = SimDuration::from_secs(1);
+    let pre = SimDuration::from_millis(5);
+    let invoke = SimDuration::from_millis(7);
+    let end = SimTime::from_secs(10);
+    c.bench_function("micro/event_queue_periodic_1fps_2k", |b| {
+        b.iter(|| {
+            let mut q: EventQueue<[u64; 6]> = EventQueue::new();
+            for timer in 0..TIMERS {
+                // Start offsets spread over the first second.
+                let offset = SimTime::from_nanos(timer * 499_979);
+                q.schedule_at(offset, [timer, FRAME, 0, 0, 0, 0]);
+            }
+            let mut done = 0u64;
+            while let Some((t, [timer, kind, ..])) = q.pop_due(end) {
+                match kind {
+                    FRAME => {
+                        q.schedule_at(t + pre, [timer, ARRIVE, 0, 0, 0, 0]);
+                        q.schedule_at(t + period, [timer, FRAME, 0, 0, 0, 0]);
+                    }
+                    ARRIVE => q.schedule_at(t + invoke, [timer, DONE, 0, 0, 0, 0]),
+                    _ => done += 1,
+                }
+            }
+            done
         })
     });
 }
@@ -313,6 +353,7 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_event_queue_1m,
+    bench_event_queue_periodic,
     bench_epoch_barrier_exchange,
     bench_stream_lookup,
     bench_units,

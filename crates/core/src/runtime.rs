@@ -338,14 +338,23 @@ impl StreamSpecBuilder {
     }
 }
 
+/// One frame travelling through its stream's pipeline. Rides inside
+/// [`Ev::Arrive`], so it is kept small: the pre-processing time is the
+/// stream's (`StreamRuntime::preprocess`, fixed at admission) and the stage
+/// index is a `u32`.
 #[derive(Debug, Clone)]
 struct InFlight {
     stream: StreamId,
-    stage: usize,
-    pre: SimDuration,
+    stage: u32,
     trans_acc: SimDuration,
     infer_acc: SimDuration,
     arrived: SimTime,
+}
+
+/// A pipeline stage index as a `usize`, for indexing `StreamRuntime::stages`.
+#[inline]
+fn stage_index(stage: u32) -> usize {
+    usize::try_from(stage).expect("stage index fits usize")
 }
 
 #[derive(Debug)]
@@ -2829,7 +2838,6 @@ impl World {
         let inflight = InFlight {
             stream: id,
             stage: 0,
-            pre,
             trans_acc: trans,
             infer_acc: SimDuration::ZERO,
             arrived: now, // overwritten on arrival
@@ -2867,7 +2875,8 @@ impl World {
         let Some(inflight) = svc.queue.pop_front() else {
             return;
         };
-        let profile = &self.streams[inflight.stream.index()].stages[inflight.stage].profile;
+        let profile =
+            &self.streams[inflight.stream.index()].stages[stage_index(inflight.stage)].profile;
         let busy = svc.device.invoke(profile).busy() + self.dp.invoke_overhead;
         svc.current = Some(inflight);
         self.fleet.tracker_mut(tpu.index()).begin_busy(now);
@@ -2892,16 +2901,16 @@ impl World {
             .streams
             .get_mut(inflight.stream.index())
             .expect("in-flight frames belong to known streams");
-        if next_stage < stream.stages.len() {
+        if let Some(stage) = stream.stages.get_mut(stage_index(next_stage)) {
             // Forward to the next pipeline stage. A hop to the same TPU is
             // free (same host); otherwise the next stage's input crosses
             // the network.
-            let next_tpu = stream.stages[next_stage].lbs.next();
+            let next_tpu = stage.lbs.next();
             let local_hop = next_tpu == tpu && self.dp.pipeline_local_hop;
             let trans = if local_hop || stream.collocated {
                 SimDuration::ZERO
             } else {
-                stream.stages[next_stage].transfer
+                stage.transfer
             };
             inflight.stage = next_stage;
             inflight.trans_acc += trans;
@@ -2909,7 +2918,7 @@ impl World {
                 .schedule_at(now + trans, Ev::Arrive(next_tpu, inflight));
         } else {
             let breakdown = LatencyBreakdown::new(
-                inflight.pre,
+                stream.preprocess,
                 inflight.trans_acc,
                 inflight.infer_acc,
                 self.dp.postprocess,
@@ -2947,6 +2956,18 @@ mod tests {
         StreamSpec::builder(name, "ssd-mobilenet-v2")
             .frame_limit(frames)
             .build()
+    }
+
+    #[test]
+    fn kernel_event_stays_within_48_bytes() {
+        // The queue stages each event with a 16-byte `(time, seq)` key, so
+        // 48 bytes keep one scheduled event on one 64-byte cache line. A
+        // new or grown variant that breaks this belongs behind a `Box`.
+        assert!(
+            std::mem::size_of::<Ev>() <= 48,
+            "Ev is {} bytes",
+            std::mem::size_of::<Ev>()
+        );
     }
 
     #[test]

@@ -7,25 +7,49 @@
 //!
 //! # Implementation
 //!
-//! Nearly every event a MicroEdge world schedules lands within one frame
-//! interval of the current time (pre-processing, a network hop, a TPU
-//! invocation, the next frame tick), so the queue is two-tiered:
+//! A MicroEdge world schedules two kinds of future. Most events land
+//! within a few milliseconds (pre-processing, a network hop, a TPU
+//! invocation), but every camera also re-arms its next frame tick one
+//! frame interval ahead — a full second for the paper's 1 FPS sources.
+//! The queue is a two-level hashed timing wheel (Varghese & Lauck) over a
+//! fallback heap, in three tiers:
 //!
-//! * a **bucket ring** of [`NUM_BUCKETS`] time slices, each
-//!   `2^`[`BUCKET_SHIFT`] ns wide (≈ 2.1 ms — ring horizon ≈ 134 ms, two
-//!   15 FPS frame intervals), holds every event below the horizon. Buckets
-//!   stay unordered: scheduling is a plain `Vec::push` and delivery scans
-//!   the (short) head bucket for its `(time, seq)` minimum — far cheaper
-//!   than keeping buckets sorted under the simulator's constant
-//!   interleaving of pushes and pops;
-//! * a **fallback binary heap** holds the rare far-future event (stream
-//!   start offsets, coarse experiment timers). Whenever the cursor
-//!   advances, heap events that fell below the horizon migrate into the
-//!   ring.
+//! * the **fine ring**: 64 buckets, each 2^21 ns (≈ 2.1 ms) wide,
+//!   covering exactly the current *block* — the aligned 2^27 ns
+//!   (≈ 134 ms) window that holds the clock. Because blocks are aligned,
+//!   an instant's fine slot is just bits 21–26 of its nanosecond count,
+//!   and the earliest occupied bucket is the lowest set bit of an
+//!   occupancy mask. Buckets stay unordered: scheduling is a plain
+//!   `Vec::push` and delivery scans the (short) head bucket for its
+//!   `(time, seq)` minimum;
+//! * the **coarse ring**: 64 unordered buckets, one per block, holding
+//!   the next 64 blocks (≈ 8.6 s). Each bucket remembers its earliest
+//!   instant. When the fine ring drains, the earliest occupied coarse
+//!   bucket cascades into it: every event moves once, with no comparison
+//!   against its neighbours;
+//! * a **fallback binary heap** holds the rare event more than 64 blocks
+//!   ahead (stream start offsets, long experiment timers). Whenever the
+//!   block advances, heap events that came within the coarse horizon
+//!   migrate into the rings.
 //!
-//! Both tiers compare `(time, seq)`, so delivery order is bit-for-bit
+//! The coarse ring exists for periodic sources: a fine ring alone reaches
+//! only 134 ms ahead, so every tick of a 1 FPS camera would go through the
+//! heap, a push and a pop each sifting over the thousands of ticks pending
+//! on a shard. Through the coarse ring a tick costs two pushes and a
+//! bucket scan.
+//!
+//! The block advances only to deliver an event from it, or when
+//! [`EventQueue::advance_to`] moves the clock into it — never past the
+//! clock. So an event scheduled "now" after [`EventQueue::pop_due`]
+//! returned `None` still lands in the current block or a later one.
+//! A drained coarse bucket's storage is kept as one spare vector for the
+//! next bucket to fill: retaining it in every slot would hold 64 blocks'
+//! worth of capacity per queue, and freeing it would reallocate on every
+//! cascade.
+//!
+//! Every tier compares `(time, seq)`, so delivery order is bit-for-bit
 //! identical to a single global heap — the property the
-//! `sim_properties::event_queue_total_order` test pins down.
+//! `sim_properties::event_queue_matches_a_reference_heap` test pins down.
 //!
 //! # Examples
 //!
@@ -46,22 +70,26 @@ use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// log2 of the bucket width in nanoseconds (2^21 ns ≈ 2.1 ms).
-const BUCKET_SHIFT: u32 = 21;
+/// log2 of the fine bucket width in nanoseconds (2^21 ns ≈ 2.1 ms).
+const FINE_SHIFT: u32 = 21;
 
-/// Number of buckets in the near-horizon ring.
-const NUM_BUCKETS: u64 = 64;
+/// log2 of the block width in nanoseconds: one block is [`SLOTS`] fine
+/// buckets (2^27 ns ≈ 134 ms).
+const BLOCK_SHIFT: u32 = FINE_SHIFT + 6;
 
-/// The global bucket index an instant falls into.
+/// Buckets per ring. 64, so each ring's occupancy fits one `u64` mask.
+const SLOTS: u64 = 64;
+
+/// The aligned block an instant falls into.
 #[inline]
-fn bucket_of(time: SimTime) -> u64 {
-    time.as_nanos() >> BUCKET_SHIFT
+fn block_of(time: SimTime) -> u64 {
+    time.as_nanos() >> BLOCK_SHIFT
 }
 
-/// The ring-array slot for a global bucket index.
+/// The ring-array slot for a global bucket or block index.
 #[inline]
-fn ring_slot(bucket: u64) -> usize {
-    usize::try_from(bucket % NUM_BUCKETS).expect("ring slot fits usize")
+fn ring_slot(index: u64) -> usize {
+    usize::try_from(index % SLOTS).expect("ring slot fits usize")
 }
 
 /// An event staged in the queue, ordered by `(time, seq)` ascending.
@@ -101,15 +129,14 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// One ring slot: the events of one global bucket index.
+/// One coarse-ring slot: the events of one future block.
 #[derive(Debug)]
-struct Bucket<E> {
-    /// The global bucket index currently mapped onto this slot. Slots are
-    /// reused as the ring wraps; a mismatch means the slot's previous
-    /// bucket fully drained and the slot can be re-labelled.
-    index: u64,
-    /// Unordered; the pop path scans for the `(time, seq)` minimum.
+struct CoarseBucket<E> {
+    /// Unordered; cascaded into the fine ring when its block begins.
     events: Vec<Scheduled<E>>,
+    /// The earliest instant among `events`; meaningful only while the
+    /// slot's occupancy bit is set.
+    earliest: SimTime,
 }
 
 /// A deterministic future-event list for discrete-event simulation.
@@ -136,21 +163,27 @@ struct Bucket<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near-horizon tier: `NUM_BUCKETS` slots covering global buckets
-    /// `[cursor, cursor + NUM_BUCKETS)`.
-    ring: Vec<Bucket<E>>,
-    /// Bit `s` set ⇔ ring slot `s` is non-empty. `NUM_BUCKETS` is 64
-    /// precisely so the earliest occupied bucket is one rotate +
-    /// `trailing_zeros` away.
-    occupancy: u64,
-    /// Events currently held in the ring (the heap tracks its own length).
-    ring_len: usize,
-    /// Global index of the earliest bucket the ring covers; equals
-    /// `bucket_of(now)` between public calls, so all pending events (whose
-    /// times are `>= now`) sit at or above it.
-    cursor: u64,
-    /// Far-future tier: events at or beyond `cursor + NUM_BUCKETS`.
+    /// Fine tier: slot `s` holds the current block's events whose fine
+    /// bucket is `s`.
+    fine: Box<[Vec<Scheduled<E>>; 64]>,
+    /// Bit `s` set ⇔ fine slot `s` is non-empty. The block is aligned, so
+    /// the earliest occupied bucket is `trailing_zeros`.
+    fine_occupancy: u64,
+    /// Coarse tier: slot `b % 64` holds block `b`, for the blocks
+    /// `block + 1 ..= block + 64`.
+    coarse: Box<[CoarseBucket<E>; 64]>,
+    /// Bit `s` set ⇔ coarse slot `s` is non-empty.
+    coarse_occupancy: u64,
+    /// The current block. Never beyond `block_of(now)`, so every pending
+    /// event and every future `schedule_at` lies in it or later.
+    block: u64,
+    /// Far-future tier: events beyond block `block + 64`.
     overflow: BinaryHeap<Scheduled<E>>,
+    /// The storage of the last drained coarse bucket, reused by the next
+    /// coarse bucket that fills.
+    spare: Vec<Scheduled<E>>,
+    /// Events pending across all three tiers.
+    len: usize,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -167,16 +200,17 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            ring: (0..NUM_BUCKETS)
-                .map(|index| Bucket {
-                    index,
-                    events: Vec::new(),
-                })
-                .collect(),
-            occupancy: 0,
-            ring_len: 0,
-            cursor: 0,
+            fine: Box::new(std::array::from_fn(|_| Vec::new())),
+            fine_occupancy: 0,
+            coarse: Box::new(std::array::from_fn(|_| CoarseBucket {
+                events: Vec::new(),
+                earliest: SimTime::ZERO,
+            })),
+            coarse_occupancy: 0,
+            block: 0,
             overflow: BinaryHeap::new(),
+            spare: Vec::new(),
+            len: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -193,13 +227,13 @@ impl<E> EventQueue<E> {
     /// Number of events waiting in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.len
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Total number of events delivered so far.
@@ -222,12 +256,8 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let scheduled = Scheduled { time, seq, event };
-        if bucket_of(time) < self.cursor + NUM_BUCKETS {
-            self.insert_into_ring(scheduled);
-        } else {
-            self.overflow.push(scheduled);
-        }
+        self.len += 1;
+        self.file(Scheduled { time, seq, event });
     }
 
     /// Schedules `event` at `delay` after the current time.
@@ -242,30 +272,29 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_due(SimTime::from_nanos(u64::MAX))
+        self.pop_due(SimTime::MAX)
     }
 
     /// [`EventQueue::pop`], but only when the earliest event is at or before
     /// `until`; otherwise the queue is left untouched and `None` is
     /// returned. Event-loop drivers call this instead of a peek/pop pair so
-    /// each delivered event costs a single ring lookup.
+    /// each delivered event costs a single bucket scan.
     pub fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if self.ring_len == 0 {
-            // Ring exhausted: jump the horizon to the overflow's earliest
-            // bucket and pull everything below it into the ring.
-            let time = self.overflow.peek()?.time;
-            if time > until {
+        if self.fine_occupancy == 0 {
+            // The current block is drained. Enter the next occupied one, but
+            // only to deliver from it: entering a block past `until` would
+            // move the cursor past the clock and strand a later "now".
+            let next = self.earliest_beyond_block()?;
+            if next > until {
                 return None;
             }
-            self.cursor = bucket_of(time);
-            self.migrate_overflow();
+            self.enter_block(block_of(next));
         }
-        let b = self.first_occupied();
-        let slot = &mut self.ring[ring_slot(b)];
-        debug_assert!(slot.index == b && !slot.events.is_empty());
+        let slot = self.first_fine_slot();
+        let bucket = &mut self.fine[slot];
         let mut best = 0;
-        let mut best_key = slot.events[0].key();
-        for (i, e) in slot.events.iter().enumerate().skip(1) {
+        let mut best_key = bucket[0].key();
+        for (i, e) in bucket.iter().enumerate().skip(1) {
             let key = e.key();
             if key < best_key {
                 best = i;
@@ -275,19 +304,14 @@ impl<E> EventQueue<E> {
         if best_key.0 > until {
             return None;
         }
-        let scheduled = slot.events.swap_remove(best);
-        if slot.events.is_empty() {
-            self.occupancy &= !(1u64 << (b % NUM_BUCKETS));
+        let scheduled = bucket.swap_remove(best);
+        if bucket.is_empty() {
+            self.fine_occupancy &= !(1u64 << slot);
         }
-        self.ring_len -= 1;
+        self.len -= 1;
         debug_assert!(scheduled.time >= self.now, "event queue went backwards");
         self.now = scheduled.time;
         self.popped += 1;
-        let cursor = bucket_of(scheduled.time);
-        if cursor > self.cursor {
-            self.cursor = cursor;
-            self.migrate_overflow();
-        }
         Some((scheduled.time, scheduled.event))
     }
 
@@ -315,60 +339,132 @@ impl<E> EventQueue<E> {
             );
         }
         self.now = time;
-        // Every pending event is strictly after `time`, so moving the ring's
-        // base bucket up to `bucket_of(time)` cannot strand one behind the
-        // cursor; migrate any overflow events the new horizon now covers.
-        let cursor = bucket_of(time);
-        if cursor > self.cursor {
-            self.cursor = cursor;
-            self.migrate_overflow();
+        // Every pending event is strictly after `time`, so a block that
+        // begins at or before `time` can only follow a drained one: enter
+        // it, so events scheduled from the new clock file into the fine
+        // ring.
+        let block = block_of(time);
+        if block > self.block {
+            self.enter_block(block);
         }
     }
 
     /// The timestamp of the earliest pending event, if any, without popping.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.ring_len == 0 {
+        if self.fine_occupancy == 0 {
+            return self.earliest_beyond_block();
+        }
+        self.fine[self.first_fine_slot()]
+            .iter()
+            .map(|s| s.time)
+            .min()
+    }
+
+    /// The earliest occupied fine slot.
+    #[inline]
+    fn first_fine_slot(&self) -> usize {
+        debug_assert!(self.fine_occupancy != 0, "fine ring accounting is off");
+        ring_slot(u64::from(self.fine_occupancy.trailing_zeros()))
+    }
+
+    /// The earliest pending instant outside the current block: the
+    /// earliest occupied coarse bucket's, else the heap's. The coarse ring
+    /// covers `block + 1 ..= block + 64`, so rotating its mask by the slot
+    /// of `block + 1` turns "earliest block" into `trailing_zeros`.
+    fn earliest_beyond_block(&self) -> Option<SimTime> {
+        if self.coarse_occupancy == 0 {
             return self.overflow.peek().map(|s| s.time);
         }
-        let slot = &self.ring[ring_slot(self.first_occupied())];
-        slot.events.iter().map(|s| s.time).min()
+        let first = self.block + 1;
+        let rot = u32::try_from(first % SLOTS).expect("ring slot fits u32");
+        let block = first + u64::from(self.coarse_occupancy.rotate_right(rot).trailing_zeros());
+        Some(self.coarse[ring_slot(block)].earliest)
     }
 
-    /// Global index of the earliest occupied ring bucket. The ring covers
-    /// exactly `[cursor, cursor + 64)`, so rotating the occupancy mask by
-    /// the cursor's slot turns "earliest bucket" into `trailing_zeros`.
+    /// Files an event into the tier its block belongs to.
     #[inline]
-    fn first_occupied(&self) -> u64 {
-        debug_assert!(self.occupancy != 0, "ring accounting is off");
-        let rot = u32::try_from(self.cursor % NUM_BUCKETS).expect("ring slot fits u32");
-        self.cursor + u64::from(self.occupancy.rotate_right(rot).trailing_zeros())
-    }
-
-    /// Files an event below the horizon into its ring bucket, re-labelling
-    /// the slot if its previous bucket has drained.
-    fn insert_into_ring(&mut self, scheduled: Scheduled<E>) {
-        let bucket = bucket_of(scheduled.time);
-        let slot = &mut self.ring[ring_slot(bucket)];
-        if slot.index != bucket {
-            debug_assert!(slot.events.is_empty(), "re-labelling a live bucket");
-            slot.index = bucket;
+    fn file(&mut self, scheduled: Scheduled<E>) {
+        debug_assert!(
+            block_of(scheduled.time) >= self.block,
+            "event behind the cursor"
+        );
+        let ahead = block_of(scheduled.time) - self.block;
+        if ahead == 0 {
+            self.file_fine(scheduled);
+        } else if ahead <= SLOTS {
+            self.file_coarse(scheduled);
+        } else {
+            self.overflow.push(scheduled);
         }
-        slot.events.push(scheduled);
-        self.occupancy |= 1u64 << (bucket % NUM_BUCKETS);
-        self.ring_len += 1;
     }
 
-    /// Moves every overflow event that fell below the (just-advanced)
-    /// horizon into the ring.
-    fn migrate_overflow(&mut self) {
-        let horizon = self.cursor + NUM_BUCKETS;
+    /// Files an event of the current block into its fine bucket.
+    #[inline]
+    fn file_fine(&mut self, scheduled: Scheduled<E>) {
+        let slot = ring_slot(scheduled.time.as_nanos() >> FINE_SHIFT);
+        self.fine[slot].push(scheduled);
+        self.fine_occupancy |= 1u64 << slot;
+    }
+
+    /// Files an event of one of the next 64 blocks into its coarse bucket,
+    /// handing an empty slot the spare storage.
+    #[inline]
+    fn file_coarse(&mut self, scheduled: Scheduled<E>) {
+        let slot = ring_slot(block_of(scheduled.time));
+        let bit = 1u64 << slot;
+        let bucket = &mut self.coarse[slot];
+        if self.coarse_occupancy & bit == 0 {
+            // An empty slot has no storage: the cascade that emptied it
+            // took its vector.
+            debug_assert_eq!(bucket.events.capacity(), 0, "empty slot kept storage");
+            self.coarse_occupancy |= bit;
+            bucket.earliest = scheduled.time;
+            bucket.events = std::mem::take(&mut self.spare);
+        } else if scheduled.time < bucket.earliest {
+            bucket.earliest = scheduled.time;
+        }
+        debug_assert!(
+            bucket
+                .events
+                .first()
+                .is_none_or(|e| block_of(e.time) == block_of(scheduled.time)),
+            "coarse slot holds two blocks"
+        );
+        bucket.events.push(scheduled);
+    }
+
+    /// Makes `block` current: cascades its coarse bucket into the fine
+    /// ring and migrates heap events that came within the coarse horizon.
+    /// The fine ring must be drained and every block before `block` empty.
+    fn enter_block(&mut self, block: u64) {
+        debug_assert!(
+            self.fine_occupancy == 0 && block > self.block,
+            "entering a block while the current one holds events"
+        );
+        let ahead = block - self.block;
+        self.block = block;
+        if ahead <= SLOTS {
+            let slot = ring_slot(block);
+            let bit = 1u64 << slot;
+            if self.coarse_occupancy & bit != 0 {
+                self.coarse_occupancy &= !bit;
+                let mut events = std::mem::take(&mut self.coarse[slot].events);
+                for scheduled in events.drain(..) {
+                    self.file_fine(scheduled);
+                }
+                self.spare = events;
+            }
+        } else {
+            debug_assert!(self.coarse_occupancy == 0, "skipped an occupied block");
+        }
+        let horizon = block + SLOTS;
         while let Some(next) = self.overflow.peek() {
-            if bucket_of(next.time) >= horizon {
+            if block_of(next.time) > horizon {
                 break;
             }
             let scheduled = self.overflow.pop().expect("peeked event exists");
-            self.insert_into_ring(scheduled);
+            self.file(scheduled);
         }
     }
 }
@@ -470,8 +566,8 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_overflow_tier() {
-        // Far beyond the ring horizon (≈ 134 ms): the event parks in the
-        // overflow heap and migrates into the ring when the clock jumps.
+        // Far beyond the coarse horizon (≈ 8.6 s): the event parks in the
+        // overflow heap and migrates into the rings when the clock jumps.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(3600), "far");
         q.schedule_at(SimTime::from_millis(1), "near");
@@ -565,7 +661,7 @@ mod tests {
     fn advance_to_aligns_the_clock_between_epochs() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(3), "a");
-        // Far beyond the ring horizon: parks in the overflow tier.
+        // Beyond the current block: parks in the coarse ring.
         q.schedule_at(SimTime::from_millis(600), "b");
         let barrier = SimTime::from_millis(500);
         assert_eq!(q.pop_due(barrier).unwrap().1, "a");
@@ -590,16 +686,91 @@ mod tests {
 
     #[test]
     fn ring_slots_are_reused_across_wraps() {
-        // March the clock far past one full ring revolution, one event per
-        // bucket width, so every slot is re-labelled at least twice.
+        // March the clock across three blocks, one event per fine bucket
+        // width, so every fine slot is refilled at least twice and every
+        // block after the first arrives through the coarse ring.
         let mut q = EventQueue::new();
-        let step = SimDuration::from_nanos(1 << BUCKET_SHIFT);
+        let step = SimDuration::from_nanos(1 << FINE_SHIFT);
         let mut t = SimTime::ZERO;
-        for i in 0..(NUM_BUCKETS * 3) {
+        for i in 0..(SLOTS * 3) {
             q.schedule_at(t, i);
             t = t.checked_add(step).unwrap();
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..NUM_BUCKETS * 3).collect::<Vec<_>>());
+        assert_eq!(order, (0..SLOTS * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_fps_ticks_ride_the_coarse_ring() {
+        // A 1 FPS source re-arms one second ahead: beyond the fine block,
+        // within the coarse horizon, so the heap stays empty throughout.
+        let mut q = EventQueue::new();
+        let second = SimDuration::from_secs(1);
+        for cam in 0..4u64 {
+            q.schedule_at(SimTime::from_millis(cam * 7), cam);
+        }
+        let mut delivered = Vec::new();
+        while let Some((t, cam)) = q.pop() {
+            assert!(q.overflow.is_empty(), "a 1 s tick reached the heap");
+            delivered.push((t, cam));
+            if t < SimTime::from_secs(20) {
+                q.schedule_at(t + second, cam);
+            }
+        }
+        assert_eq!(delivered.len(), 4 * 21);
+        assert!(delivered.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn pop_due_does_not_enter_a_block_past_the_deadline() {
+        // The next event sits in a later block than the deadline. Refusing
+        // it must leave the cursor at the clock's block, so an event then
+        // scheduled "now" is still delivered first.
+        let mut q = EventQueue::new();
+        let next_block = SimTime::from_nanos(1 << BLOCK_SHIFT);
+        q.schedule_at(next_block + SimDuration::from_millis(3), "late");
+        let barrier = SimTime::from_millis(100);
+        assert_eq!(q.pop_due(barrier), None);
+        assert_eq!(q.block, 0);
+        q.advance_to(barrier);
+        q.schedule_at(barrier, "now");
+        assert_eq!(q.pop_due(barrier), Some((barrier, "now")));
+        assert_eq!(q.pop().unwrap().1, "late");
+    }
+
+    #[test]
+    fn advance_to_jumps_past_the_coarse_horizon() {
+        // Nothing pending for minutes: the clock jumps straight into a far
+        // block, and heap events migrate in relative to the new block.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(300), "far");
+        q.schedule_at(SimTime::from_secs(305), "farther");
+        q.advance_to(SimTime::from_secs(299));
+        assert_eq!(q.block, block_of(SimTime::from_secs(299)));
+        assert!(q.overflow.is_empty());
+        q.schedule_at(SimTime::from_secs(299), "now");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["now", "far", "farther"]);
+    }
+
+    #[test]
+    fn drained_coarse_storage_is_recycled() {
+        // A cascade leaves its slot without storage and keeps the drained
+        // vector as the spare; the next coarse bucket to fill takes it.
+        let mut q = EventQueue::new();
+        let block = SimDuration::from_nanos(1 << BLOCK_SHIFT);
+        let first = SimTime::ZERO + block;
+        for i in 0..100u64 {
+            q.schedule_at(first + SimDuration::from_micros(i), i);
+        }
+        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(q.coarse[ring_slot(1)].events.capacity(), 0);
+        let spare = q.spare.capacity();
+        assert!(spare >= 100);
+        q.schedule_at(first + block, 100);
+        assert_eq!(q.coarse[ring_slot(2)].events.capacity(), spare);
+        assert_eq!(q.spare.capacity(), 0);
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, (1..=100).collect::<Vec<_>>());
     }
 }

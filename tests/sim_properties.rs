@@ -1,6 +1,9 @@
 //! Property-based tests for the simulation kernel and the TPU-units
 //! arithmetic the whole system rests on.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
 use microedge::core::units::TpuUnits;
@@ -132,5 +135,140 @@ proptest! {
         prop_assert_eq!((ua + ub) + uc, ua + (ub + uc));
         prop_assert_eq!((ua + ub).saturating_sub(ub), ua);
         prop_assert_eq!(ua.checked_add(ub), Some(ua + ub));
+    }
+}
+
+/// Width of one aligned block of the event queue's fine ring (2^27 ns).
+/// Events one nanosecond either side of a block edge land in different
+/// tiers, so the differential test aims at these instants on purpose.
+const BLOCK_NS: u64 = 1 << 27;
+
+/// One call against the queue under test and the reference heap.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// `schedule_at(now + delay)`.
+    Schedule(u64),
+    /// `schedule_at` at the edge of the `k`-th block after the current one,
+    /// offset by -1, 0 or +1 ns.
+    ScheduleAtEdge(u64, i8),
+    /// `pop_due(now + horizon)`.
+    PopDue(u64),
+    /// `pop_due(now + horizon)`; when it returns `None`, `schedule_at(now)`
+    /// — the barrier pattern of a sharded replay.
+    PopDueThenNow(u64),
+    /// `advance_to(now + delta)`, clamped to just before the earliest
+    /// pending event.
+    AdvanceTo(u64),
+}
+
+/// Delays from 0 ns to 20 s, weighted so every tier sees traffic: the
+/// fine block (≈ 134 ms), the coarse ring (≈ 8.6 s) and the heap beyond.
+fn delay_ns() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => 0u64..5_000_000,
+        3 => 0u64..1_000_000_000,
+        2 => 0u64..20_000_000_000,
+        1 => Just(0u64),
+    ]
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        6 => delay_ns().prop_map(QueueOp::Schedule),
+        2 => (1u64..80, -1i8..=1).prop_map(|(k, off)| QueueOp::ScheduleAtEdge(k, off)),
+        4 => delay_ns().prop_map(QueueOp::PopDue),
+        2 => delay_ns().prop_map(QueueOp::PopDueThenNow),
+        1 => delay_ns().prop_map(QueueOp::AdvanceTo),
+    ]
+}
+
+/// The reference: a plain min-heap of `(time, seq)` plus its own clock.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    now: u64,
+    next_seq: u64,
+}
+
+impl ReferenceQueue {
+    fn schedule_at(&mut self, time: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((time, seq)));
+        seq
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((t, _))| *t)
+    }
+
+    fn pop_due(&mut self, until: u64) -> Option<(u64, u64)> {
+        let &Reverse((time, seq)) = self.heap.peek()?;
+        if time > until {
+            return None;
+        }
+        self.heap.pop();
+        self.now = time;
+        Some((time, seq))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The tiered event queue is observationally a plain `(time, seq)`
+    /// min-heap under any interleaving of scheduling (0 ns to 20 s ahead,
+    /// block edges ± 1 ns), bounded pops, clock advances and the
+    /// schedule-"now"-after-an-empty-`pop_due` barrier pattern: every
+    /// delivery, clock reading, length and peek agrees, and so does the
+    /// final drain.
+    #[test]
+    fn event_queue_matches_a_reference_heap(ops in prop::collection::vec(queue_op(), 1..300)) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        for op in ops {
+            let now = reference.now;
+            match op {
+                QueueOp::Schedule(delay) => {
+                    let seq = reference.schedule_at(now + delay);
+                    q.schedule_at(SimTime::from_nanos(now + delay), seq);
+                }
+                QueueOp::ScheduleAtEdge(k, off) => {
+                    let edge = (now / BLOCK_NS + k) * BLOCK_NS;
+                    let time = edge.saturating_add_signed(i64::from(off));
+                    let seq = reference.schedule_at(time);
+                    q.schedule_at(SimTime::from_nanos(time), seq);
+                }
+                QueueOp::PopDue(horizon) | QueueOp::PopDueThenNow(horizon) => {
+                    let until = now + horizon;
+                    let expected = reference.pop_due(until);
+                    let got = q.pop_due(SimTime::from_nanos(until));
+                    prop_assert_eq!(got.map(|(t, seq)| (t.as_nanos(), seq)), expected);
+                    if expected.is_none() && matches!(op, QueueOp::PopDueThenNow(_)) {
+                        let seq = reference.schedule_at(now);
+                        q.schedule_at(SimTime::from_nanos(now), seq);
+                    }
+                }
+                QueueOp::AdvanceTo(delta) => {
+                    let mut target = now + delta;
+                    if let Some(next) = reference.peek_time() {
+                        if next == now {
+                            continue;
+                        }
+                        target = target.min(next - 1);
+                    }
+                    reference.now = target;
+                    q.advance_to(SimTime::from_nanos(target));
+                }
+            }
+            prop_assert_eq!(q.now().as_nanos(), reference.now);
+            prop_assert_eq!(q.len(), reference.heap.len());
+            prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), reference.peek_time());
+        }
+        while let Some(expected) = reference.pop_due(u64::MAX) {
+            let (t, seq) = q.pop().expect("queue drained before the reference");
+            prop_assert_eq!((t.as_nanos(), seq), expected);
+        }
+        prop_assert!(q.is_empty());
     }
 }
