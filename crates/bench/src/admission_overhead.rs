@@ -31,7 +31,6 @@
 //! ([`crate::scalability::render_admission_scalability`]) and serializes
 //! as `BENCH_admission.json`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_core::admission::{reference, AdmissionPolicy, FirstFit, PlanBuffer};
@@ -47,6 +46,8 @@ use microedge_sim::stats::OnlineStats;
 use microedge_sim::time::SimDuration;
 use microedge_tpu::cocompile::CoCompiler;
 use microedge_tpu::spec::TpuSpec;
+
+use crate::artifact::{fixed, obj, Artifact, Json};
 
 /// Launch-latency statistics for one configuration.
 #[derive(Debug, Clone)]
@@ -359,38 +360,28 @@ impl AdmissionPerf {
     /// (linear-scan reference) and post (indexed) planning throughput.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = write!(
-                points,
-                "\n    {{\"tpus\": {tpus}, \"iterations\": {iters},\
-                 \n      \"pre\": {{\"algorithm\": \"{pre}\",\
-                 \n        \"host_ns_per_plan\": {lns:.1}, \"host_plans_per_sec\": {lps:.0}}},\
-                 \n      \"post\": {{\"algorithm\": \"{post}\",\
-                 \n        \"host_ns_per_plan\": {ins:.1}, \"host_plans_per_sec\": {ips:.0}}},\
-                 \n      \"host_speedup\": {speedup:.2}}}{comma}",
-                tpus = p.tpus,
-                iters = p.iterations,
-                pre = self.pre_label,
-                lns = p.linear_ns,
-                lps = p.linear_plans_per_sec(),
-                post = self.post_label,
-                ins = p.indexed_ns,
-                ips = p.indexed_plans_per_sec(),
-                speedup = p.speedup(),
-            );
+        let timing =
+            |ns, per_sec| obj! {"ns_per_plan": fixed(ns, 1), "plans_per_sec": fixed(per_sec, 0)};
+        Artifact {
+            deterministic: obj! {
+                "benchmark": "admission_plan_throughput", "workload": ADMISSION_WORKLOAD,
+                "rounds": self.rounds,
+                "points": Json::array(self.points.iter().map(|p| obj! {
+                    "tpus": p.tpus, "iterations": p.iterations,
+                    "pre": obj! {"algorithm": self.pre_label},
+                    "post": obj! {"algorithm": self.post_label},
+                })),
+            },
+            host: obj! {
+                "speedup_at_4096": self.speedup_at(4096).map(|s| fixed(s, 2)),
+                "points": Json::array(self.points.iter().map(|p| obj! {
+                    "pre": timing(p.linear_ns, p.linear_plans_per_sec()),
+                    "post": timing(p.indexed_ns, p.indexed_plans_per_sec()),
+                    "speedup": fixed(p.speedup(), 2),
+                })),
+            },
         }
-        let at_4096 = self
-            .speedup_at(4096)
-            .map_or_else(|| "null".to_owned(), |s| format!("{s:.2}"));
-        format!(
-            "{{\n  \"benchmark\": \"admission_plan_throughput\",\n  \
-             \"workload\": \"{workload}\",\n  \"rounds\": {rounds},\n  \
-             \"host_speedup_at_4096\": {at_4096},\n  \"points\": [{points}\n  ]\n}}\n",
-            workload = ADMISSION_WORKLOAD,
-            rounds = self.rounds,
-        )
+        .render()
     }
 }
 
@@ -586,12 +577,21 @@ mod tests {
     fn admission_json_has_pre_and_post_throughput() {
         let perf = run_admission_perf_with(&[(16, 20), (4096, 20)], 1);
         let json = perf.to_json();
-        assert!(json.contains("\"benchmark\": \"admission_plan_throughput\""));
-        assert!(json.contains("\"pre\""));
-        assert!(json.contains("\"post\""));
-        assert!(json.contains("\"host_plans_per_sec\""));
-        assert!(json.contains("\"host_speedup_at_4096\""));
-        assert!(!json.contains("\"host_speedup_at_4096\": null"));
+        let deterministic = crate::artifact::assert_deterministic_cut(&json);
+        assert!(deterministic.contains("\"benchmark\": \"admission_plan_throughput\""));
+        assert!(deterministic.contains("\"pre\": {\"algorithm\": \"first-fit/linear\"}"));
+        assert!(deterministic.contains("\"post\": {\"algorithm\": \"first-fit\"}"));
+        assert!(!deterministic.contains("per_sec"));
+        let host = &json[deterministic.len()..];
+        let at_4096 = perf.speedup_at(4096).unwrap();
+        assert!(host.contains(&format!("\"speedup_at_4096\": {at_4096:.2}")));
+        let big = &perf.points()[1];
+        assert!(host.contains(&format!(
+            "{{\"ns_per_plan\": {:.1}, \"plans_per_sec\": {:.0}}}",
+            big.indexed_ns(),
+            big.indexed_plans_per_sec()
+        )));
+        assert!(!json.contains("host_"));
         assert!(json.ends_with("}\n"));
     }
 

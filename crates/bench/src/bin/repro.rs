@@ -20,20 +20,21 @@
 //! simulated time, so the file is byte-identical across runs and
 //! `MICROEDGE_WORKERS` settings. `--scale` sweeps the 1k→100k-stream
 //! serial scale-out study plus the sharded 100k/1M-stream replay (tiny
-//! fleets under `--quick`) and writes `BENCH_scale.json`; host
-//! measurements (wall-clock, events/s, RSS, worker count) live on
-//! dedicated `host_`-prefixed lines that CI strips before byte-comparing,
-//! every other field is deterministic. `--fleet` runs the federated
-//! front-door study — indexed vs linear-scan placement throughput at
-//! 64/512/4096 clusters plus the whole-cluster kill tiers — and writes
-//! `BENCH_fleet.json` under the same `host_` convention. `--net` runs
-//! the lossy-transport study — the QoS classes across loss tiers
-//! 0/0.1/1/10 % and a flapping-partition tier that drives the lease
-//! detector into reconciled false positives — and writes
-//! `BENCH_net.json`, again `host_`-strippable to a byte-stable core.
-//! `--defrag` replays the 24 h churn trace with and without the online
-//! defragmenter and writes `BENCH_defrag.json` (packing efficiency vs the
-//! Martello-Toth L2 bound, admission rates, migration disruption).
+//! fleets under `--quick`) and writes `BENCH_scale.json`. `--fleet` runs
+//! the federated front-door study — indexed vs linear-scan placement
+//! throughput at 64/512/4096 clusters plus the whole-cluster kill tiers —
+//! and writes `BENCH_fleet.json`. `--net` runs the lossy-transport study
+//! — the QoS classes across loss tiers 0/0.1/1/10 % and a
+//! flapping-partition tier that drives the lease detector into reconciled
+//! false positives — and writes `BENCH_net.json`. `--defrag` replays the
+//! 24 h churn trace with and without the online defragmenter and writes
+//! `BENCH_defrag.json` (packing efficiency vs the Martello-Toth L2 bound,
+//! admission rates, migration disruption). Every `BENCH_*.json` has a
+//! `"deterministic"` section, byte-identical across runs and worker
+//! counts, then a `"host"` section (wall-clock, events/s, RSS, worker
+//! count) that CI cuts off before comparing ([`microedge_bench::artifact`]).
+//! If a CSV or JSON file cannot be written, `repro` exits with status 1
+//! after running every selected artifact.
 //!
 //! The artifacts are independent, so they run concurrently through the
 //! deterministic executor ([`microedge_sim::par`]); each job renders its
@@ -44,6 +45,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use microedge_bench::csv::write_csv;
 use microedge_bench::runner::SystemConfig;
@@ -145,12 +147,21 @@ fn parse_args() -> Options {
     }
 }
 
+/// Set when a CSV or `BENCH_*.json` write fails; `main` then exits 1.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Reports one file write on stderr, remembering a failure.
+fn report_write(result: std::io::Result<PathBuf>, name: &str) {
+    WRITE_FAILED.fetch_or(result.is_err(), Ordering::Relaxed);
+    match result {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("failed to write {name}: {e}"),
+    }
+}
+
 fn dump(csv: Option<&PathBuf>, name: &str, headers: &[&str], rows: &[Vec<String>]) {
     if let Some(dir) = csv {
-        match write_csv(dir, name, headers, rows) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {name}.csv: {e}"),
-        }
+        report_write(write_csv(dir, name, headers, rows), &format!("{name}.csv"));
     }
 }
 
@@ -459,10 +470,8 @@ fn main() {
     let dir = opts.csv.clone().unwrap_or_else(|| PathBuf::from("."));
     let write_bench = |name: &str, body: String| {
         let path = dir.join(name);
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
+        let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body));
+        report_write(written.map(|()| path), name);
     };
 
     if opts.chaos {
@@ -491,10 +500,7 @@ fn main() {
         println!("{}", study.render_summary());
         let sharded = microedge_bench::scale_sharded::run_scale_sharded(opts.quick);
         println!("{}", sharded.render_summary());
-        write_bench(
-            "BENCH_scale.json",
-            microedge_bench::scale_sharded::render_bench_json(&study, &sharded),
-        );
+        write_bench("BENCH_scale.json", study.to_json(&sharded));
     }
 
     if opts.fleet {
@@ -524,5 +530,9 @@ fn main() {
         let study = defrag::run_defrag_study(opts.quick);
         println!("{}", defrag::render_defrag(&study));
         write_bench("BENCH_defrag.json", defrag::to_json(&study));
+    }
+
+    if WRITE_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
     }
 }

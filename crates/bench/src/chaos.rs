@@ -11,13 +11,12 @@
 //! All numbers derive from simulated time only, so `BENCH_chaos.json` is
 //! byte-identical across runs and `MICROEDGE_WORKERS` settings.
 
-use std::fmt::Write as _;
-
 use microedge_core::faults::{ChaosConfig, ClassRates, FaultModel, FaultSchedule};
 use microedge_core::runtime::{StreamSpec, World};
 use microedge_metrics::recovery::RecoveryPhase;
 use microedge_sim::time::{SimDuration, SimTime};
 
+use crate::artifact::{fixed, obj, Artifact, Json};
 use crate::runner::{build_world, experiment_cluster, SystemConfig};
 
 /// TPUs in the chaos cluster.
@@ -240,43 +239,28 @@ pub fn render_chaos(points: &[ChaosPoint], horizon: SimTime) -> String {
 
 /// Renders the `BENCH_chaos.json` document. Purely a function of the
 /// simulated results — byte-identical across hosts, runs, and worker
-/// counts.
+/// counts — so its host section is empty.
 #[must_use]
 pub fn to_json(points: &[ChaosPoint], horizon: SimTime) -> String {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = write!(
-            body,
-            "\n    {{\"mode\": \"{}\", \"rate\": {}, \"lost\": {}, \"parked\": {}, \
-             \"restarts\": {}, \"recoveries\": {}, \"mttr_ms\": {:.3}, \
-             \"detection_ms\": {:.3}, \"rescheduling_ms\": {:.3}, \"swap_in_ms\": {:.3}, \
-             \"availability\": {:.6}, \"downtime_s\": {:.3}, \"degraded_s\": {:.3}, \
-             \"frames_dropped\": {}, \"events\": {}}}{comma}",
-            p.mode,
-            p.rate,
-            p.lost,
-            p.parked,
-            p.restarts,
-            p.recoveries,
-            p.mttr_ms,
-            p.detection_ms,
-            p.rescheduling_ms,
-            p.swap_in_ms,
-            p.availability,
-            p.downtime_s,
-            p.degraded_s,
-            p.frames_dropped,
-            p.events,
-        );
+    let workload =
+        format!("{CHAOS_STREAMS} mixed-model streams, {CHAOS_TPUS} TPUs, seed {CHAOS_SEED}");
+    Artifact {
+        deterministic: obj! {
+            "benchmark": "chaos_failure_recovery", "workload": workload,
+            "horizon_s": horizon.as_nanos() / 1_000_000_000,
+            "points": Json::array(points.iter().map(|p| obj! {
+                "mode": p.mode, "rate": p.rate, "lost": p.lost, "parked": p.parked,
+                "restarts": p.restarts, "recoveries": p.recoveries,
+                "mttr_ms": fixed(p.mttr_ms, 3), "detection_ms": fixed(p.detection_ms, 3),
+                "rescheduling_ms": fixed(p.rescheduling_ms, 3),
+                "swap_in_ms": fixed(p.swap_in_ms, 3), "availability": fixed(p.availability, 6),
+                "downtime_s": fixed(p.downtime_s, 3), "degraded_s": fixed(p.degraded_s, 3),
+                "frames_dropped": p.frames_dropped, "events": p.events,
+            })),
+        },
+        host: obj! {},
     }
-    format!(
-        "{{\n  \"benchmark\": \"chaos_failure_recovery\",\n  \"workload\": \"{streams} mixed-model streams, {tpus} TPUs, seed {seed}\",\n  \"horizon_s\": {horizon_s},\n  \"points\": [{body}\n  ]\n}}\n",
-        streams = CHAOS_STREAMS,
-        tpus = CHAOS_TPUS,
-        seed = CHAOS_SEED,
-        horizon_s = horizon.as_nanos() / 1_000_000_000,
-    )
+    .render()
 }
 
 #[cfg(test)]

@@ -16,13 +16,12 @@
 //!    0.6-unit holes and late 0.8-unit global admissions only fit if the
 //!    epoch-barrier defragmenter has consolidated them.
 //!
-//! The JSON follows the repo convention: wall-clock measurements ride
-//! `host_`-prefixed lines; every other field is a pure function of the
-//! trace, so CI strips `host_` lines and byte-compares the artifact
-//! across `MICROEDGE_WORKERS` settings.
+//! The JSON follows the repo convention ([`crate::artifact`]): wall-clock
+//! measurements go in the host section; every other field is a pure
+//! function of the trace, so CI cuts the host section off and
+//! byte-compares the rest across `MICROEDGE_WORKERS` settings.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -42,6 +41,7 @@ use microedge_sim::rng::DetRng;
 use microedge_sim::time::{SimDuration, SimTime};
 use microedge_tpu::device::TpuId;
 
+use crate::artifact::{fixed, obj, Artifact, Json};
 use crate::packing::l2_lower_bound;
 
 /// TPUs in the churn cluster (full mode).
@@ -456,95 +456,58 @@ pub fn render_defrag(study: &DefragStudy) -> String {
     )
 }
 
-/// Renders the `BENCH_defrag.json` document. Wall-clock measurements ride
-/// `host_`-prefixed lines; every other field is a pure function of the
+/// Renders the `BENCH_defrag.json` document. Wall-clock measurements go
+/// in the host section; every other field is a pure function of the
 /// seeded trace.
 #[must_use]
 pub fn to_json(study: &DefragStudy) -> String {
-    let mut arms = String::new();
-    for (i, a) in study.arms.iter().enumerate() {
-        let comma = if i + 1 < study.arms.len() { "," } else { "" };
-        let series = a
-            .efficiency_series
-            .iter()
-            .map(|e| format!("{e:.4}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let s = &a.stats;
-        let _ = write!(
-            arms,
-            "\n      {{\"arm\": \"{label}\", \"admitted\": {adm}, \"rejected\": {rej}, \
-             \"admit_rate\": {rate:.6},\n        \
-             \"mean_efficiency\": {mean:.6}, \"steady_efficiency\": {steady:.6}, \
-             \"min_efficiency\": {min:.6}, \"mean_fragmentation\": {frag:.6},\n        \
-             \"conservation_violations\": {viol},\n        \
-             \"cycles\": {cycles}, \"moves\": {moves}, \"pods_migrated\": {pods}, \
-             \"units_recovered_micro\": {rec}, \"disruption_ns\": {dis},\n        \
-             \"skipped\": {{\"gain\": {sg}, \"guard\": {sgu}, \"budget\": {sb}, \
-             \"cost\": {sc}, \"unplaceable\": {su}}},\n        \
-             \"efficiency_hourly\": [{series}],\n        \
-             \"host_wall_s\": {wall:.3}}}{comma}",
-            label = arm_label(a.defrag),
-            adm = a.admitted,
-            rej = a.rejected,
-            rate = a.admit_rate(),
-            mean = a.mean_efficiency,
-            steady = a.steady_efficiency,
-            min = a.min_efficiency,
-            frag = a.mean_fragmentation,
-            viol = a.conservation_violations,
-            cycles = s.cycles,
-            moves = s.moves,
-            pods = s.pods_migrated,
-            rec = s.units_recovered_micro,
-            dis = s.disruption_ns,
-            sg = s.skipped_gain,
-            sgu = s.skipped_guard,
-            sb = s.skipped_budget,
-            sc = s.skipped_cost,
-            su = s.skipped_unplaceable,
-            series = series,
-            wall = a.host_wall_s,
-        );
-    }
-    let mut fleet = String::new();
-    for (i, f) in study.fleet.iter().enumerate() {
-        let comma = if i + 1 < study.fleet.len() { "," } else { "" };
-        let _ = write!(
-            fleet,
-            "\n      {{\"arm\": \"{label}\", \"late_admitted\": {la}, \
-             \"admit_rejected\": {ar}, \"cycles\": {cycles}, \"moves\": {moves}, \
-             \"units_recovered_micro\": {rec}, \"disruption_ns\": {dis}, \
-             \"frames\": {frames}}}{comma}",
-            label = arm_label(f.defrag),
-            la = f.late_admitted,
-            ar = f.admit_rejected,
-            cycles = f.stats.cycles,
-            moves = f.stats.moves,
-            rec = f.stats.units_recovered_micro,
-            dis = f.stats.disruption_ns,
-            frames = f.frames,
-        );
-    }
-    format!(
-        "{{\n  \"benchmark\": \"defrag\",\n  \
-         \"workload\": \"{rounds}-round churn trace on {tpus} TPUs \
+    let workload = format!(
+        "{rounds}-round churn trace on {tpus} TPUs \
          (1 round = 1 simulated minute; 80% 0.10-0.50-unit cameras, 20% 0.70-0.95; \
-         depart p={depart:.4}/round; defrag cycle every {every} rounds) + \
-         {clusters}x2-TPU sharded fleet with late 0.8-unit front-door admits\",\n  \
-         \"arms\": [{arms}\n  ],\n  \"fleet\": [{fleet}\n  ]\n}}\n",
+         depart p={DEPART_CHANCE:.4}/round; defrag cycle every {DEFRAG_EVERY_ROUNDS} rounds) + \
+         {FLEET_CLUSTERS}x2-TPU sharded fleet with late 0.8-unit front-door admits",
         rounds = study.rounds,
         tpus = study.tpus,
-        depart = DEPART_CHANCE,
-        every = DEFRAG_EVERY_ROUNDS,
-        clusters = FLEET_CLUSTERS,
-    )
+    );
+    let wall_s = |a: &DefragArm| obj! {"wall_s": fixed(a.host_wall_s, 3)};
+    Artifact {
+        deterministic: obj! {
+            "benchmark": "defrag", "workload": workload,
+            "arms": Json::array(study.arms.iter().map(|a| obj! {
+                "arm": arm_label(a.defrag), "admitted": a.admitted, "rejected": a.rejected,
+                "admit_rate": fixed(a.admit_rate(), 6),
+                "mean_efficiency": fixed(a.mean_efficiency, 6),
+                "steady_efficiency": fixed(a.steady_efficiency, 6),
+                "min_efficiency": fixed(a.min_efficiency, 6),
+                "mean_fragmentation": fixed(a.mean_fragmentation, 6),
+                "conservation_violations": a.conservation_violations,
+                "cycles": a.stats.cycles, "moves": a.stats.moves,
+                "pods_migrated": a.stats.pods_migrated,
+                "units_recovered_micro": a.stats.units_recovered_micro,
+                "disruption_ns": a.stats.disruption_ns,
+                "skipped": obj! {
+                    "gain": a.stats.skipped_gain, "guard": a.stats.skipped_guard,
+                    "budget": a.stats.skipped_budget, "cost": a.stats.skipped_cost,
+                    "unplaceable": a.stats.skipped_unplaceable,
+                },
+                "efficiency_hourly": Json::array(a.efficiency_series.iter().map(|&e| fixed(e, 4))),
+            })),
+            "fleet": Json::array(study.fleet.iter().map(|f| obj! {
+                "arm": arm_label(f.defrag), "late_admitted": f.late_admitted,
+                "admit_rejected": f.admit_rejected, "cycles": f.stats.cycles,
+                "moves": f.stats.moves, "units_recovered_micro": f.stats.units_recovered_micro,
+                "disruption_ns": f.stats.disruption_ns, "frames": f.frames,
+            })),
+        },
+        host: obj! {"arms": Json::array(study.arms.iter().map(wall_s))},
+    }
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip_host_lines;
+    use crate::artifact::assert_deterministic_cut;
 
     #[test]
     fn quick_study_defrag_dominates_plain() {
@@ -582,6 +545,6 @@ mod tests {
     fn study_is_deterministic() {
         let a = to_json(&run_defrag_study(true));
         let b = to_json(&run_defrag_study(true));
-        assert_eq!(strip_host_lines(&a), strip_host_lines(&b));
+        assert_eq!(assert_deterministic_cut(&a), assert_deterministic_cut(&b));
     }
 }

@@ -17,8 +17,8 @@
 //!    identical cluster from every home — on the timed fleet and on a
 //!    variant with a mid-fleet decoy whose max-free block matches but
 //!    whose total headroom falls short (the continue-past-decoy path) —
-//!    then times `place` best-of-rounds. Timing numbers ride
-//!    `host_`-prefixed lines; the deterministic fields around them are
+//!    then times `place` best-of-rounds. Timing numbers go in the
+//!    artifact's host section; the deterministic section is
 //!    byte-compared across `MICROEDGE_WORKERS` settings by CI.
 //!
 //! 2. **Fleet chaos** — whole-cluster failure tiers on a live
@@ -29,7 +29,6 @@
 //!    window plus the evacuation/readmission counters — all derived from
 //!    simulated time, so byte-identical at any worker count.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -42,6 +41,8 @@ use microedge_metrics::recovery::availability_nines;
 use microedge_metrics::report::Table;
 use microedge_sim::par;
 use microedge_sim::time::{SimDuration, SimTime};
+
+use crate::artifact::{fixed, obj, Artifact, Json};
 
 /// Regions the placement-sweep fleet is partitioned into (the chaos tier
 /// sizes its own). The probed streams are homed in
@@ -478,76 +479,56 @@ pub fn render_fleet(perf: &FleetPerf, tiers: &[FleetChaosTier]) -> String {
 }
 
 /// Renders the `BENCH_fleet.json` document. Host-dependent measurements
-/// (timings, speedups) ride `host_`-prefixed lines; everything else is a
-/// pure function of the simulated workload and byte-identical across
-/// hosts, runs, and `MICROEDGE_WORKERS` settings.
+/// (timings, speedups) go in the host section; everything else is a pure
+/// function of the simulated workload and byte-identical across hosts,
+/// runs, and `MICROEDGE_WORKERS` settings.
 #[must_use]
 pub fn to_json(perf: &FleetPerf, tiers: &[FleetChaosTier]) -> String {
-    let mut points = String::new();
-    for (i, p) in perf.points().iter().enumerate() {
-        let comma = if i + 1 < perf.points().len() { "," } else { "" };
-        let _ = write!(
-            points,
-            "\n      {{\"clusters\": {clusters}, \"regions\": {regions}, \"iterations\": {iters},\n        \
-             \"host_linear_ns\": {lns:.1}, \"host_indexed_ns\": {ins:.1}, \
-             \"host_placements_per_sec\": {pps:.0}, \"host_speedup\": {speedup:.2}}}{comma}",
-            clusters = p.clusters(),
-            regions = SWEEP_REGIONS,
-            iters = p.iterations(),
-            lns = p.linear_ns(),
-            ins = p.indexed_ns(),
-            pps = p.indexed_placements_per_sec(),
-            speedup = p.speedup(),
-        );
+    Artifact {
+        deterministic: obj! {
+            "benchmark": "fleet_front_door",
+            "placement": obj! {
+                "workload": SWEEP_WORKLOAD, "rounds": perf.rounds(),
+                "points": Json::array(perf.points().iter().map(|p| obj! {
+                    "clusters": p.clusters(), "regions": SWEEP_REGIONS,
+                    "iterations": p.iterations(),
+                })),
+            },
+            "chaos": obj! {
+                "workload": format!(
+                    "{CHAOS_STREAMS_PER_CLUSTER} stream per cluster, kill at {CHAOS_KILL_AT_MS} \
+                     ms, evacuees re-placed at the next epoch barrier"
+                ),
+                "tiers": Json::array(tiers.iter().map(|t| obj! {
+                    "clusters": t.clusters, "regions": t.regions, "killed": t.killed,
+                    "evacuated": t.report.evacuated, "readmitted": t.report.readmitted,
+                    "unplaced": t.report.unplaced, "readmit_failures": t.report.readmit_failures,
+                    "placed_home": t.report.placement.home,
+                    "placed_spill": t.report.placement.spills,
+                    "placed_fallback": t.report.placement.fallbacks,
+                    "availability": fixed(t.availability, 6), "nines": fixed(t.nines, 3),
+                    "downtime_s": fixed(t.downtime_s, 3), "frames": t.frames, "events": t.events,
+                })),
+            },
+        },
+        host: obj! {
+            "placement": obj! {
+                "speedup_at_4096": perf.speedup_at(4096).map(|s| fixed(s, 2)),
+                "points": Json::array(perf.points().iter().map(|p| obj! {
+                    "linear_ns": fixed(p.linear_ns(), 1), "indexed_ns": fixed(p.indexed_ns(), 1),
+                    "placements_per_sec": fixed(p.indexed_placements_per_sec(), 0),
+                    "speedup": fixed(p.speedup(), 2),
+                })),
+            },
+        },
     }
-    let at_4096 = perf
-        .speedup_at(4096)
-        .map_or_else(|| "null".to_owned(), |s| format!("{s:.2}"));
-    let mut chaos = String::new();
-    for (i, t) in tiers.iter().enumerate() {
-        let comma = if i + 1 < tiers.len() { "," } else { "" };
-        let _ = write!(
-            chaos,
-            "\n      {{\"clusters\": {clusters}, \"regions\": {regions}, \"killed\": {killed}, \
-             \"evacuated\": {evacuated}, \"readmitted\": {readmitted}, \"unplaced\": {unplaced}, \
-             \"readmit_failures\": {failures}, \"placed_home\": {home}, \"placed_spill\": {spills}, \
-             \"placed_fallback\": {fallbacks}, \"availability\": {availability:.6}, \
-             \"nines\": {nines:.3}, \"downtime_s\": {downtime:.3}, \"frames\": {frames}, \
-             \"events\": {events}}}{comma}",
-            clusters = t.clusters,
-            regions = t.regions,
-            killed = t.killed,
-            evacuated = t.report.evacuated,
-            readmitted = t.report.readmitted,
-            unplaced = t.report.unplaced,
-            failures = t.report.readmit_failures,
-            home = t.report.placement.home,
-            spills = t.report.placement.spills,
-            fallbacks = t.report.placement.fallbacks,
-            availability = t.availability,
-            nines = t.nines,
-            downtime = t.downtime_s,
-            frames = t.frames,
-            events = t.events,
-        );
-    }
-    format!(
-        "{{\n  \"benchmark\": \"fleet_front_door\",\n  \"placement\": {{\n    \
-         \"workload\": \"{workload}\",\n    \"rounds\": {rounds},\n    \
-         \"host_speedup_at_4096\": {at_4096},\n    \"points\": [{points}\n    ]\n  }},\n  \
-         \"chaos\": {{\n    \"workload\": \"{streams} stream per cluster, kill at {at} ms, \
-         evacuees re-placed at the next epoch barrier\",\n    \"tiers\": [{chaos}\n    ]\n  }}\n}}\n",
-        workload = SWEEP_WORKLOAD,
-        rounds = perf.rounds(),
-        streams = CHAOS_STREAMS_PER_CLUSTER,
-        at = CHAOS_KILL_AT_MS,
-    )
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip_host_lines;
+    use crate::artifact::assert_deterministic_cut;
 
     #[test]
     fn sweep_measures_every_size_and_finds_the_far_cluster() {
@@ -595,24 +576,31 @@ mod tests {
     }
 
     #[test]
-    fn fleet_json_is_stable_and_host_lines_strip_clean() {
+    fn fleet_json_is_stable_and_host_section_cuts_clean() {
         let perf = run_fleet_perf_with(&[(64, 20)], 1);
         let tiers = run_fleet_chaos(true);
         let json = to_json(&perf, &tiers);
         assert!(json.contains("\"benchmark\": \"fleet_front_door\""));
-        assert!(json.contains("\"host_speedup_at_4096\": null"));
         assert!(json.contains("\"nines\""));
         assert!(json.ends_with("}\n"));
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
-        // Every timing figure sits on a strippable host_ line.
-        let stripped = strip_host_lines(&json);
-        assert!(!stripped.contains("_ns"));
-        assert!(!stripped.contains("speedup"));
-        // And the deterministic remainder is reproducible.
+        // Every timing figure sits in the host section, mirroring the
+        // deterministic placement points.
+        let deterministic = assert_deterministic_cut(&json);
+        assert!(!deterministic.contains("_ns"));
+        assert!(!deterministic.contains("speedup"));
+        let host = &json[deterministic.len()..];
+        assert!(host.contains("\"speedup_at_4096\": null"));
+        let p = &perf.points()[0];
+        assert!(host.contains(&format!(
+            "{{\"linear_ns\": {:.1}, \"indexed_ns\": {:.1}, \"placements_per_sec\": {:.0}, \"speedup\": {:.2}}}",
+            p.linear_ns(),
+            p.indexed_ns(),
+            p.indexed_placements_per_sec(),
+            p.speedup()
+        )));
+        // And the deterministic section is reproducible.
         let again = to_json(&run_fleet_perf_with(&[(64, 20)], 1), &run_fleet_chaos(true));
-        assert_eq!(stripped, strip_host_lines(&again));
+        assert_eq!(deterministic, assert_deterministic_cut(&again));
     }
 
     #[test]

@@ -26,10 +26,13 @@
 //! | [`netchaos`] | lossy-transport study: QoS classes across loss tiers + flapping partitions |
 //! | [`defrag`] | online defragmentation: packing efficiency vs the L2 bound under 24 h churn |
 //!
-//! The `repro` binary prints every artifact; the Criterion benches under
-//! `benches/` time the underlying computations.
+//! The `repro` binary prints every artifact and writes the `BENCH_*.json`
+//! files through [`artifact`], the one writer with a deterministic and a
+//! host section; the Criterion benches under `benches/` time the
+//! underlying computations.
 
 pub mod admission_overhead;
+pub mod artifact;
 pub mod chaos;
 pub mod cost;
 pub mod csv;
@@ -50,13 +53,3 @@ pub mod tail_latency;
 pub mod trace_study;
 
 pub use runner::{build_world, experiment_cluster, SystemConfig};
-
-/// The determinism filter: an artifact with every `host_` measurement line
-/// removed — exactly what `scripts/check.sh` byte-compares.
-#[cfg(test)]
-pub(crate) fn strip_host_lines(json: &str) -> String {
-    json.lines()
-        .filter(|l| !l.contains("\"host_"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}

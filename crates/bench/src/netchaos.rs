@@ -20,11 +20,10 @@
 //! dropped + gave_up == sent`, enforced), export goodput and frame-drop
 //! rate, control retransmit overhead, detector false-positive counts and
 //! rates, and suspicion-derived availability nines. Everything but the
-//! `host_`-prefixed wall-clock lines is simulated time: `BENCH_net.json`
-//! is byte-identical across hosts, runs, and `MICROEDGE_WORKERS` settings
-//! once `host_` lines are stripped.
+//! wall-clock host section is simulated time: the deterministic section
+//! of `BENCH_net.json` is byte-identical across hosts, runs, and
+//! `MICROEDGE_WORKERS` settings.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -35,6 +34,8 @@ use microedge_core::shard::{FleetReport, ShardedWorld};
 use microedge_metrics::recovery::availability_nines;
 use microedge_metrics::report::Table;
 use microedge_sim::time::{SimDuration, SimTime};
+
+use crate::artifact::{fixed, obj, Artifact, Json};
 
 /// Clusters in the chaos fleet (one uplink each).
 pub const NET_CLUSTERS: u32 = 8;
@@ -300,87 +301,60 @@ pub fn render_net_chaos(tiers: &[NetChaosTier]) -> String {
     )
 }
 
-/// Renders the `BENCH_net.json` document. Wall-clock measurements ride
-/// `host_`-prefixed lines; every other field is a pure function of the
+/// Renders the `BENCH_net.json` document. Wall-clock measurements go in
+/// the host section; every other field is a pure function of the
 /// simulated workload.
 #[must_use]
 pub fn to_json(tiers: &[NetChaosTier]) -> String {
-    let mut body = String::new();
-    for (i, t) in tiers.iter().enumerate() {
-        let comma = if i + 1 < tiers.len() { "," } else { "" };
-        let s = &t.net.stats;
-        let d = &t.net.detection;
-        let _ = write!(
-            body,
-            "\n      {{\"tier\": \"{label}\", \"loss_ppm\": {ppm},\n        \
-             \"control\": {{\"sent\": {cs}, \"delivered\": {cd}, \"dropped\": {cdr}, \
-             \"gave_up\": {cg}, \"retransmits\": {crt}, \"shed\": {csh}}},\n        \
-             \"heartbeat\": {{\"sent\": {hs}, \"delivered\": {hd}, \"dropped\": {hdr}}},\n        \
-             \"telemetry\": {{\"sent\": {ts}, \"delivered\": {td}, \"dropped\": {tdr}, \
-             \"reordered\": {tre}}},\n        \
-             \"goodput\": {goodput:.6}, \"frame_drop_rate\": {drops:.6}, \
-             \"retransmit_overhead\": {rtx:.6},\n        \
-             \"detections\": {det}, \"false_positives\": {fp}, \"fp_rate\": {fpr:.6}, \
-             \"reconciliations\": {rec}, \"suspected_streams\": {sus}, \
-             \"reconciled_streams\": {recs},\n        \
-             \"stale_drains\": {sdr}, \"stale_restores\": {sre}, \
-             \"admit_rejected\": {arej}, \"conservation_violations\": {viol},\n        \
-             \"availability\": {avail:.6}, \"nines\": {nines:.3}, \
-             \"frames\": {frames}, \"events\": {events},\n        \
-             \"host_wall_s\": {wall:.3}}}{comma}",
-            label = t.label,
-            ppm = t.loss_ppm,
-            cs = s.control.sent,
-            cd = s.control.delivered,
-            cdr = s.control.dropped,
-            cg = s.control.gave_up,
-            crt = s.control.retransmits,
-            csh = s.control.shed,
-            hs = s.heartbeat.sent,
-            hd = s.heartbeat.delivered,
-            hdr = s.heartbeat.dropped,
-            ts = s.telemetry.sent,
-            td = s.telemetry.delivered,
-            tdr = s.telemetry.dropped,
-            tre = s.telemetry.reordered,
-            goodput = t.goodput(),
-            drops = t.drop_rate(),
-            rtx = t.retransmit_overhead(),
-            det = d.detections,
-            fp = d.false_positives,
-            fpr = t.fp_rate(),
-            rec = d.reconciliations,
-            sus = d.suspected_streams,
-            recs = d.reconciled_streams,
-            sdr = t.net.stale_drains,
-            sre = t.net.stale_restores,
-            arej = t.report.admit_rejected,
-            viol = s.conservation_violations(),
-            avail = t.availability(),
-            nines = t.nines(),
-            frames = t.frames,
-            events = t.events,
-            wall = t.host_wall_s,
-        );
-    }
-    format!(
-        "{{\n  \"benchmark\": \"net_chaos\",\n  \
-         \"workload\": \"{clusters} clusters / {regions} regions, {exports} exporting cameras \
-         + {late} mid-run admissions; loss tiers {tiers:?} ppm + flapping partitions \
-         (down {down} s > lease)\",\n  \"tiers\": [{body}\n  ]\n}}\n",
-        clusters = NET_CLUSTERS,
-        regions = NET_REGIONS,
-        exports = NET_EXPORT_STREAMS,
-        late = NET_LATE_ADMITS,
-        tiers = LOSS_TIERS_PPM,
+    let workload = format!(
+        "{NET_CLUSTERS} clusters / {NET_REGIONS} regions, {NET_EXPORT_STREAMS} exporting cameras \
+         + {NET_LATE_ADMITS} mid-run admissions; loss tiers {LOSS_TIERS_PPM:?} ppm + flapping \
+         partitions (down {down} s > lease)",
         down = FLAP_DOWN.as_secs_f64(),
-    )
+    );
+    let wall_s = |t: &NetChaosTier| obj! {"wall_s": fixed(t.host_wall_s, 3)};
+    Artifact {
+        deterministic: obj! {
+            "benchmark": "net_chaos", "workload": workload,
+            "tiers": Json::array(tiers.iter().map(|t| {
+                let (s, d) = (&t.net.stats, &t.net.detection);
+                let (c, h, m) = (&s.control, &s.heartbeat, &s.telemetry);
+                obj! {
+                    "tier": t.label.as_str(), "loss_ppm": t.loss_ppm,
+                    "control": obj! {
+                        "sent": c.sent, "delivered": c.delivered, "dropped": c.dropped,
+                        "gave_up": c.gave_up, "retransmits": c.retransmits, "shed": c.shed,
+                    },
+                    "heartbeat": obj! {
+                        "sent": h.sent, "delivered": h.delivered, "dropped": h.dropped,
+                    },
+                    "telemetry": obj! {
+                        "sent": m.sent, "delivered": m.delivered, "dropped": m.dropped,
+                        "reordered": m.reordered,
+                    },
+                    "goodput": fixed(t.goodput(), 6), "frame_drop_rate": fixed(t.drop_rate(), 6),
+                    "retransmit_overhead": fixed(t.retransmit_overhead(), 6),
+                    "detections": d.detections, "false_positives": d.false_positives,
+                    "fp_rate": fixed(t.fp_rate(), 6), "reconciliations": d.reconciliations,
+                    "suspected_streams": d.suspected_streams,
+                    "reconciled_streams": d.reconciled_streams,
+                    "stale_drains": t.net.stale_drains, "stale_restores": t.net.stale_restores,
+                    "admit_rejected": t.report.admit_rejected,
+                    "conservation_violations": s.conservation_violations(),
+                    "availability": fixed(t.availability(), 6), "nines": fixed(t.nines(), 3),
+                    "frames": t.frames, "events": t.events,
+                }
+            })),
+        },
+        host: obj! {"tiers": Json::array(tiers.iter().map(wall_s))},
+    }
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip_host_lines;
+    use crate::artifact::assert_deterministic_cut;
 
     #[test]
     fn loss_tiers_degrade_monotonically() {
@@ -407,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn net_json_is_worker_invariant_and_host_lines_strip_clean() {
+    fn net_json_is_worker_invariant_and_host_section_cuts_clean() {
         let json = |workers: usize| {
             let tiers = vec![
                 run_net_tier("0.1%", 1_000, loss_schedule(1_000), true, workers),
@@ -419,12 +393,8 @@ mod tests {
         assert!(one.contains("\"benchmark\": \"net_chaos\""));
         assert!(one.contains("\"conservation_violations\": 0"));
         assert!(one.ends_with("}\n"));
-        assert_eq!(
-            one.matches(['{', '[']).count(),
-            one.matches(['}', ']']).count()
-        );
-        let stripped = strip_host_lines(&one);
-        assert!(!stripped.contains("wall"));
-        assert_eq!(stripped, strip_host_lines(&json(8)));
+        let deterministic = assert_deterministic_cut(&one);
+        assert!(!deterministic.contains("wall"));
+        assert_eq!(deterministic, assert_deterministic_cut(&json(8)));
     }
 }

@@ -4,8 +4,9 @@
 //! Fig. 6 configurations replayed over the 60-minute downsized trace
 //! (seed 42, 6 TPUs). The configurations are run *serially* here, on
 //! purpose: the harness measures single-thread kernel throughput, not the
-//! parallel sweep. Event counts are deterministic; every timing sits on a
-//! `host_` line of `BENCH_kernel.json`, which the determinism gate strips.
+//! parallel sweep. Event counts are deterministic; every timing sits in
+//! the host section of `BENCH_kernel.json`, which the determinism gate
+//! cuts off.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -13,6 +14,7 @@ use std::time::Instant;
 use microedge_sim::time::SimDuration;
 use microedge_workloads::trace::{synthesize, TraceConfig};
 
+use crate::artifact::{fixed, obj, Artifact, Json};
 use crate::trace_study::{fig6_configs, run_trace};
 
 /// One configuration's timing within the reference replay.
@@ -46,29 +48,27 @@ impl KernelPerf {
         self.events as f64 / self.wall_s
     }
 
-    /// Renders the `BENCH_kernel.json` document.
+    /// Renders the `BENCH_kernel.json` document: event counts in the
+    /// deterministic section, every timing in the host section.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut configs = String::new();
-        for (i, c) in self.per_config.iter().enumerate() {
-            let comma = if i + 1 < self.per_config.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = write!(
-                configs,
-                "\n    {{\"config\": \"{}\", \"events\": {},\n      \"host_wall_s\": {:.6}}}{comma}",
-                c.config, c.events, c.wall_s
-            );
+        Artifact {
+            deterministic: obj! {
+                "benchmark": "fig6_trace_study_kernel",
+                "workload": "60-min downsized trace, seed 42, 6 TPUs, 5 configs, serial",
+                "rounds": self.rounds, "events": self.events,
+                "per_config": Json::array(self.per_config.iter().map(|c| obj! {
+                    "config": c.config.as_str(), "events": c.events,
+                })),
+            },
+            host: obj! {
+                "wall_s": fixed(self.wall_s, 6), "events_per_sec": fixed(self.events_per_sec(), 0),
+                "per_config": Json::array(
+                    self.per_config.iter().map(|c| obj! {"wall_s": fixed(c.wall_s, 6)}),
+                ),
+            },
         }
-        format!(
-            "{{\n  \"benchmark\": \"fig6_trace_study_kernel\",\n  \"workload\": \"60-min downsized trace, seed 42, 6 TPUs, 5 configs, serial\",\n  \"rounds\": {rounds},\n  \"events\": {events},\n  \"host_wall_s\": {wall:.6},\n  \"host_events_per_sec\": {eps:.0},\n  \"per_config\": [{configs}\n  ]\n}}\n",
-            rounds = self.rounds,
-            events = self.events,
-            wall = self.wall_s,
-            eps = self.events_per_sec(),
-        )
+        .render()
     }
 
     /// Renders the human-readable summary `repro --perf` prints.
@@ -171,17 +171,20 @@ mod tests {
     fn json_has_both_throughput_definitions() {
         let perf = quick_perf();
         let json = perf.to_json();
-        // Event counts stay on deterministic lines; every timing is on a
-        // host_ line of its own.
-        assert!(json.contains(&format!("\"events\": {},", perf.events)));
-        assert!(json.contains("\"host_wall_s\""));
-        assert!(json.contains("\"host_events_per_sec\""));
-        for line in json.lines() {
-            let host = line.contains("\"host_");
-            let timed = line.contains("wall_s") || line.contains("events_per_sec");
-            assert_eq!(host, timed, "{line}");
-            assert!(!(host && line.contains("\"events\"")), "{line}");
-        }
+        // Event counts stay in the deterministic section; every timing is
+        // in the host section.
+        let deterministic = crate::artifact::assert_deterministic_cut(&json);
+        assert!(deterministic.contains(&format!("\"events\": {},", perf.events)));
+        assert!(!deterministic.contains("wall_s"));
+        assert!(!deterministic.contains("events_per_sec"));
+        let host = &json[deterministic.len()..];
+        assert!(host.contains(&format!("\"wall_s\": {:.6}", perf.wall_s)));
+        assert!(host.contains(&format!("\"events_per_sec\": {:.0}", perf.events_per_sec())));
+        assert_eq!(
+            host.matches("\"wall_s\"").count(),
+            1 + perf.per_config.len()
+        );
+        assert!(!json.contains("host_"));
         assert!(!json.contains("pre_pr"));
         assert!(!json.contains("speedup"));
         assert!(json.ends_with("}\n"));

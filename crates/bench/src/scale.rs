@@ -10,14 +10,13 @@
 //!
 //! Two kinds of numbers come out:
 //!
-//! - **Deterministic** (stream/frame/event counts, telemetry bytes) — these
-//!   go into `BENCH_scale.json`, which is byte-identical across runs and
-//!   `MICROEDGE_WORKERS` settings; CI diffs it.
+//! - **Deterministic** (stream/frame/event counts, telemetry bytes) — the
+//!   deterministic section of `BENCH_scale.json`, byte-identical across
+//!   runs and `MICROEDGE_WORKERS` settings; CI diffs it.
 //! - **Host measurements** (wall-clock, events/sec, peak RSS from
 //!   `/proc/self/status`) — these appear in the rendered table and, so the
-//!   perf trajectory is captured over time, in the JSON under `host_`-
-//!   prefixed keys on their own lines. CI strips those lines
-//!   (`grep -v '"host_'`) before byte-comparing artifacts.
+//!   perf trajectory is captured over time, in the artifact's host section
+//!   ([`crate::artifact`]), which CI cuts off before byte-comparing.
 //!
 //! The telemetry footprint is the point: per-frame latency distributions
 //! are held in constant-memory log-linear sketches
@@ -26,7 +25,6 @@
 //! smallest point with twice the frame limit and reporting both byte
 //! counts (`telemetry_invariance` in the JSON — they must be equal).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -38,7 +36,9 @@ use microedge_orch::pod::ResourceRequest;
 use microedge_sim::stats::SKETCH_RELATIVE_ERROR;
 use microedge_sim::time::{SimDuration, SimTime};
 
+use crate::artifact::{fixed, obj, Artifact, Json};
 use crate::runner::{build_world, SystemConfig};
+use crate::scale_sharded::ShardedScaleStudy;
 use microedge_core::runtime::StreamSpec;
 
 /// Frame rate of every camera in the sweep. Kept low so a single TPU
@@ -223,59 +223,45 @@ pub fn run_scale(quick: bool) -> ScaleStudy {
     }
 }
 
-/// Formats an optional byte count as a JSON number or `null`.
-pub(crate) fn json_opt_u64(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
 impl ScaleStudy {
-    /// Renders this study's `"points"` array body: per point, one line of
-    /// deterministic fields followed by one line of `host_`-prefixed
-    /// measurements. CI drops the host lines (`grep -v '"host_'`) before
-    /// byte-comparing, so determinism checks and the recorded perf
-    /// trajectory coexist in one file.
+    /// Renders `BENCH_scale.json`: this serial study with `sharded` as its
+    /// `"sharded"` section. Deterministic fields are byte-identical across
+    /// runs and worker settings; wall-clock, events/s, RSS and worker
+    /// count go in the host section, which mirrors the points.
     #[must_use]
-    pub fn points_json(&self) -> String {
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = write!(
-                points,
-                "\n    {{\"streams\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"telemetry_bytes\": {}, \"telemetry_bytes_per_stream\": {:.3},\n      \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_peak_rss_bytes\": {}}}{comma}",
-                p.streams,
-                p.tpus,
-                p.nodes,
-                p.frames,
-                p.events,
-                p.telemetry_bytes,
-                p.telemetry_bytes_per_stream(),
-                p.events_per_sec(),
-                p.run_wall_s,
-                json_opt_u64(p.peak_rss_bytes),
-            );
-        }
-        points
-    }
-
-    /// Renders the serial half of the `BENCH_scale.json` document.
-    /// Deterministic fields are byte-identical across runs and worker
-    /// settings; host measurements live on dedicated `host_` lines the CI
-    /// compare strips (see [`ScaleStudy::points_json`]). The `repro`
-    /// binary appends the sharded study before the closing brace via
-    /// [`crate::scale_sharded::render_bench_json`].
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"scale_out_study\",\n  \"workload\": \"N cameras x {frames} frames at {fps} FPS, ssd-mobilenet-v2, {config}\",\n  \"sketch_relative_error\": {err},\n  \"telemetry_invariance\": {{\"streams\": {inv_streams}, \"bytes_at_1x_frames\": {inv_1x}, \"bytes_at_2x_frames\": {inv_2x}}},\n  \"points\": [{points}\n  ]\n}}\n",
+    pub fn to_json(&self, sharded: &ShardedScaleStudy) -> String {
+        let workload = format!(
+            "N cameras x {frames} frames at {SCALE_FPS} FPS, ssd-mobilenet-v2, {config}",
             frames = self.frame_limit,
-            fps = SCALE_FPS,
             config = SystemConfig::microedge_full().label(),
-            err = SKETCH_RELATIVE_ERROR,
-            inv_streams = self.invariance.streams,
-            inv_1x = self.invariance.bytes_at_1x_frames,
-            inv_2x = self.invariance.bytes_at_2x_frames,
-            points = self.points_json(),
-        )
+        );
+        let (sharded_deterministic, sharded_host) = sharded.sections();
+        Artifact {
+            deterministic: obj! {
+                "benchmark": "scale_out_study", "workload": workload,
+                // 2^-7: exact in 7 decimals.
+                "sketch_relative_error": fixed(SKETCH_RELATIVE_ERROR, 7),
+                "telemetry_invariance": obj! {
+                    "streams": self.invariance.streams,
+                    "bytes_at_1x_frames": self.invariance.bytes_at_1x_frames,
+                    "bytes_at_2x_frames": self.invariance.bytes_at_2x_frames,
+                },
+                "points": Json::array(self.points.iter().map(|p| obj! {
+                    "streams": p.streams, "tpus": p.tpus, "nodes": p.nodes, "frames": p.frames,
+                    "events": p.events, "telemetry_bytes": p.telemetry_bytes,
+                    "telemetry_bytes_per_stream": fixed(p.telemetry_bytes_per_stream(), 3),
+                })),
+                "sharded": sharded_deterministic,
+            },
+            host: obj! {
+                "points": Json::array(self.points.iter().map(|p| obj! {
+                    "events_per_sec": fixed(p.events_per_sec(), 1),
+                    "replay_wall_s": fixed(p.run_wall_s, 3), "peak_rss_bytes": p.peak_rss_bytes,
+                })),
+                "sharded": sharded_host,
+            },
+        }
+        .render()
     }
 
     /// Renders the human table `repro --scale` prints (wall-clock, replay
@@ -332,7 +318,7 @@ impl ScaleStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip_host_lines;
+    use crate::artifact::assert_deterministic_cut;
 
     #[test]
     fn point_admits_every_stream_and_completes_frames() {
@@ -360,21 +346,38 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_once_host_lines_are_stripped() {
+    fn json_is_deterministic_once_the_host_section_is_cut() {
         let study = run_scale(true);
         let again = run_scale(true);
+        let sharded = ShardedScaleStudy {
+            frame_limit: 3,
+            points: Vec::new(),
+        };
+        let json = study.to_json(&sharded);
+        let deterministic = assert_deterministic_cut(&json);
         assert_eq!(
-            strip_host_lines(&study.to_json()),
-            strip_host_lines(&again.to_json()),
-            "filtered JSON must be byte-identical"
+            deterministic,
+            assert_deterministic_cut(&again.to_json(&sharded)),
+            "the deterministic section must be byte-identical"
         );
-        let json = study.to_json();
-        // Host measurements are present, but only on their own host_ lines
-        // so the CI grep filter removes every one of them.
-        assert!(json.contains("\"host_events_per_sec\""));
-        let filtered = strip_host_lines(&json);
-        assert!(!filtered.contains("wall"), "host fields leak: {filtered}");
-        assert!(!filtered.contains("rss"));
+        // Host measurements are present, but only in the host section,
+        // one entry per point.
+        assert!(
+            !deterministic.contains("wall"),
+            "host fields leak: {deterministic}"
+        );
+        assert!(!deterministic.contains("rss"));
+        let host = &json[deterministic.len()..];
+        let p = &study.points[0];
+        assert!(host.contains(&format!(
+            "{{\"events_per_sec\": {:.1}, \"replay_wall_s\": {:.3}, \"peak_rss_bytes\": ",
+            p.events_per_sec(),
+            p.run_wall_s
+        )));
+        assert_eq!(
+            host.matches("\"events_per_sec\"").count(),
+            study.points.len()
+        );
         assert!(json.contains("\"telemetry_invariance\""));
         assert_eq!(
             study.invariance.bytes_at_1x_frames,

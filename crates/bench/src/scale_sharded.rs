@@ -13,12 +13,11 @@
 //! neighbouring shard, so the cross-shard exchange path is exercised at
 //! full scale, not just in unit tests.
 //!
-//! The split between deterministic JSON fields and `host_`-prefixed
-//! measurement lines follows [`crate::scale`]: CI strips `host_` lines
-//! before byte-comparing `BENCH_scale.json` across `MICROEDGE_WORKERS`
-//! settings.
+//! The study renders as the `"sharded"` section of `BENCH_scale.json`
+//! (see [`crate::scale::ScaleStudy::to_json`]): counts in the deterministic section,
+//! wall-clock, events/s, worker count and RSS in the host section, which
+//! CI cuts off before byte-comparing across `MICROEDGE_WORKERS` settings.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -29,9 +28,8 @@ use microedge_metrics::report::Table;
 use microedge_sim::par;
 use microedge_sim::time::{SimDuration, SimTime};
 
-use crate::scale::{
-    json_opt_u64, peak_rss_bytes, size_cluster, ScaleStudy, SCALE_FPS, SCALE_FRAME_LIMIT,
-};
+use crate::artifact::{fixed, obj, Json, Obj};
+use crate::scale::{peak_rss_bytes, size_cluster, SCALE_FPS, SCALE_FRAME_LIMIT};
 
 /// Every `EXPORT_STRIDE`-th camera of each shard export-flags its
 /// completions, generating deterministic cross-shard traffic at every
@@ -192,38 +190,31 @@ pub fn run_scale_sharded(quick: bool) -> ShardedScaleStudy {
 }
 
 impl ShardedScaleStudy {
-    /// Renders this study's JSON object (the `"sharded"` section of
-    /// `BENCH_scale.json`), with `host_` measurement lines the CI compare
-    /// strips, like [`ScaleStudy::points_json`].
-    #[must_use]
-    pub fn to_json_object(&self) -> String {
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = write!(
-                points,
-                "\n      {{\"streams\": {}, \"shards\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"exports\": {}, \"telemetry_bytes\": {},\n        \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_workers\": {}, \"host_peak_rss_bytes\": {}}}{comma}",
-                p.streams,
-                p.shards,
-                p.tpus,
-                p.nodes,
-                p.frames,
-                p.events,
-                p.exports,
-                p.telemetry_bytes,
-                p.events_per_sec(),
-                p.run_wall_s,
-                p.workers,
-                json_opt_u64(p.peak_rss_bytes),
-            );
-        }
-        format!(
-            "{{\n    \"workload\": \"N cameras x {frames} frames at {fps} FPS over K cluster shards, every {stride}th stream exported cross-shard\",\n    \"epoch_ms\": {epoch},\n    \"export_stride\": {stride},\n    \"points\": [{points}\n    ]\n  }}",
+    /// This study's `"sharded"` section of `BENCH_scale.json`, as its
+    /// deterministic and host halves (see [`crate::scale::ScaleStudy::to_json`]).
+    pub(crate) fn sections(&self) -> (Obj, Obj) {
+        let workload = format!(
+            "N cameras x {frames} frames at {SCALE_FPS} FPS over K cluster shards, \
+             every {EXPORT_STRIDE}th stream exported cross-shard",
             frames = self.frame_limit,
-            fps = SCALE_FPS,
-            stride = EXPORT_STRIDE,
-            epoch = DEFAULT_EPOCH.as_millis_f64(),
-            points = points,
+        );
+        (
+            obj! {
+                "workload": workload, "epoch_ms": DEFAULT_EPOCH.as_nanos() / 1_000_000,
+                "export_stride": EXPORT_STRIDE,
+                "points": Json::array(self.points.iter().map(|p| obj! {
+                    "streams": p.streams, "shards": p.shards, "tpus": p.tpus, "nodes": p.nodes,
+                    "frames": p.frames, "events": p.events, "exports": p.exports,
+                    "telemetry_bytes": p.telemetry_bytes,
+                })),
+            },
+            obj! {
+                "points": Json::array(self.points.iter().map(|p| obj! {
+                    "events_per_sec": fixed(p.events_per_sec(), 1),
+                    "replay_wall_s": fixed(p.run_wall_s, 3), "workers": p.workers,
+                    "peak_rss_bytes": p.peak_rss_bytes,
+                })),
+            },
         )
     }
 
@@ -274,30 +265,10 @@ impl ShardedScaleStudy {
     }
 }
 
-/// Renders the complete `BENCH_scale.json`: the serial study document with
-/// the sharded study spliced in as its `"sharded"` section.
-///
-/// # Panics
-///
-/// Panics if the serial document does not end with its closing brace
-/// (which would mean [`ScaleStudy::to_json`] changed shape).
-#[must_use]
-pub fn render_bench_json(serial: &ScaleStudy, sharded: &ShardedScaleStudy) -> String {
-    let serial_doc = serial.to_json();
-    let base = serial_doc
-        .strip_suffix("}\n")
-        .expect("serial JSON ends with its closing brace");
-    format!(
-        "{base},\n  \"sharded\": {object}\n}}\n",
-        base = base.trim_end(),
-        object = sharded.to_json_object(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip_host_lines;
+    use crate::artifact::assert_deterministic_cut;
 
     #[test]
     fn sharded_point_completes_every_frame_and_routes_exports() {
@@ -314,15 +285,19 @@ mod tests {
 
     #[test]
     fn artifacts_are_byte_identical_across_worker_counts() {
-        let study_at = |workers| ShardedScaleStudy {
-            frame_limit: 3,
-            points: vec![run_sharded_point_with_workers(64, 4, 3, workers)],
+        let serial = crate::scale::run_scale(true);
+        let json_at = |workers| {
+            serial.to_json(&ShardedScaleStudy {
+                frame_limit: 3,
+                points: vec![run_sharded_point_with_workers(64, 4, 3, workers)],
+            })
         };
-        let serial = strip_host_lines(&study_at(1).to_json_object());
+        let one = json_at(1);
+        let deterministic = assert_deterministic_cut(&one);
         for workers in [2, 8] {
             assert_eq!(
-                serial,
-                strip_host_lines(&study_at(workers).to_json_object()),
+                deterministic,
+                assert_deterministic_cut(&json_at(workers)),
                 "sharded artifact diverged at {workers} workers"
             );
         }
@@ -335,15 +310,17 @@ mod tests {
             frame_limit: 3,
             points: vec![run_sharded_point_with_workers(32, 2, 3, 1)],
         };
-        let json = render_bench_json(&serial, &sharded);
-        assert!(json.contains("\"points\""));
-        assert!(json.contains("\"sharded\""));
-        assert!(json.contains("\"export_stride\""));
+        let json = serial.to_json(&sharded);
+        let deterministic = assert_deterministic_cut(&json);
+        assert!(deterministic.contains("\"points\""));
+        assert!(deterministic.contains("\"sharded\""));
+        assert!(deterministic.contains("\"export_stride\": 8"));
+        assert!(deterministic.contains("\"epoch_ms\": 500"));
+        // The host section mirrors both studies' points.
+        let host = &json[deterministic.len()..];
+        assert!(host.contains("\"sharded\": {"));
+        assert!(host.contains("\"workers\": 1"));
         assert!(json.ends_with("}\n"));
-        // Braces balance: the splice produced one well-formed document.
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
     }
 
     #[test]

@@ -739,12 +739,6 @@ impl FrontDoor {
             .count()
     }
 
-    /// Total free micro-units across live clusters.
-    #[must_use]
-    pub fn fleet_free_micro(&self) -> u64 {
-        self.summaries.iter().map(|s| s.total_free).sum()
-    }
-
     /// Alive clusters ordered by max-free block, biggest headroom first,
     /// ids ascending within ties — off the free-units buckets.
     pub fn clusters_by_headroom(&self) -> impl Iterator<Item = ClusterId> + '_ {

@@ -1442,13 +1442,6 @@ impl World {
         }));
     }
 
-    /// The defragmenter's counters so far, if it is enabled. The final
-    /// values also land in [`RunResults::defrag`].
-    #[must_use]
-    pub fn defrag_stats(&self) -> Option<&DefragStats> {
-        self.defrag.as_ref().map(|d| &d.stats)
-    }
-
     /// One defragmenter tick. A no-op unless [`World::enable_defrag`] was
     /// called and this tick completes an `interval_epochs` period; an armed
     /// tick plans donor evictions against the live pool and executes the

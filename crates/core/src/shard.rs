@@ -408,18 +408,6 @@ impl ShardedWorld {
         self
     }
 
-    /// Overrides the epoch length (barrier interval).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` is zero.
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        assert!(epoch > SimDuration::ZERO, "epoch must be positive");
-        self.epoch = epoch;
-        self
-    }
-
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -466,17 +454,20 @@ impl ShardedWorld {
     ///
     /// # Errors
     ///
-    /// See [`World::admit_stream`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
+    /// [`DeployError::MalformedRequest`] naming `shard` if it is out of
+    /// range; otherwise see [`World::admit_stream`].
     pub fn admit_stream(
         &mut self,
         shard: u32,
         spec: StreamSpec,
     ) -> Result<GlobalStreamId, DeployError> {
-        let local = self.shards[shard_index(shard)].admit_stream(spec)?;
+        let shard_count = self.shards.len();
+        let world = self.shards.get_mut(shard_index(shard)).ok_or_else(|| {
+            DeployError::MalformedRequest(format!(
+                "shard {shard} out of range ({shard_count} shards)"
+            ))
+        })?;
+        let local = world.admit_stream(spec)?;
         Ok(GlobalStreamId { shard, local })
     }
 
@@ -1115,6 +1106,22 @@ mod tests {
             assert_eq!(results.report(id).unwrap().completed(), 45);
         }
         assert_eq!(results.used_tpus(), 3);
+    }
+
+    #[test]
+    fn admitting_on_an_unknown_shard_is_a_typed_error() {
+        let mut sw = ShardedWorld::new((0..2).map(|_| cluster(1)), Features::all());
+        let err = sw.admit_stream(2, spec("stray", 15)).unwrap_err();
+        match err {
+            DeployError::MalformedRequest(msg) => assert!(msg.contains("shard 2"), "{msg}"),
+            other => panic!("expected MalformedRequest, got {other:?}"),
+        }
+        // Nothing was admitted anywhere, and the valid shards still accept.
+        assert_eq!(
+            sw.shard(0).active_streams() + sw.shard(1).active_streams(),
+            0
+        );
+        assert!(sw.admit_stream(1, spec("cam", 15)).is_ok());
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             let mut fns: Vec<FnDef> = analysis.fns.into_iter().filter(|f| !f.is_test).collect();
             // The bench measurement modules are sanctioned wall-clock
             // readers (see WALL_CLOCK_EXEMPT_FILES): their host timings
-            // land in `host_*` artifact lines that the determinism gate
-            // strips before byte-comparison. Dropping that source class
+            // land in the artifacts' `host` section, which the determinism
+            // gate cuts off before byte-comparison. Dropping that source class
             // here keeps taint focused on *unsanctioned* flows instead of
             // re-reporting the sanctioned one at every downstream sink.
             if config::WALL_CLOCK_EXEMPT_FILES.contains(&rel.as_str()) {

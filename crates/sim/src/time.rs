@@ -190,12 +190,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Fractional microseconds.
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
-    }
-
     /// Fractional milliseconds.
     #[must_use]
     pub fn as_millis_f64(self) -> f64 {

@@ -22,26 +22,27 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --quiet --workspace
 
-# Benchmark artifacts mix deterministic simulation output with host
-# measurements (events/s, wall time, RSS, worker count, speedups).
-# Measurement lines carry "host_" keys on their own lines; strip them and
-# the rest must be byte-identical across worker counts.
-strip_host_lines() {
-  grep -v '"host_' "$1"
+# Every BENCH_*.json is written by microedge_bench::artifact: a
+# "deterministic" section, then a "host" section with the host
+# measurements (events/s, wall time, RSS, worker count, speedups). The
+# writer puts the host section on its own `  "host": ` line, so the part
+# before that line must be byte-identical across worker counts.
+deterministic_part() {
+  sed '/^  "host": /,$d' "$1"
 }
 
-# Compares one artifact produced under two MICROEDGE_WORKERS settings,
-# host_ lines stripped: assert_deterministic_artifact <name> <dir_a> <dir_b>
+# Compares the deterministic section of one artifact produced under two
+# MICROEDGE_WORKERS settings: assert_deterministic_artifact <name> <dir_a> <dir_b>
 assert_deterministic_artifact() {
   local name="$1" a="$2" b="$3"
-  strip_host_lines "$a/$name" > "$a/$name.filtered"
-  strip_host_lines "$b/$name" > "$b/$name.filtered"
-  cmp "$a/$name.filtered" "$b/$name.filtered"
+  deterministic_part "$a/$name" > "$a/$name.deterministic"
+  deterministic_part "$b/$name" > "$b/$name.deterministic"
+  cmp "$a/$name.deterministic" "$b/$name.deterministic"
 }
 
-# Each artifact study runs at 1 and 8 workers and must match byte for byte
-# once host_ lines are stripped: the scale-out tiers, the fleet front door,
-# network chaos, online defragmentation, and the chaos study.
+# Each artifact study runs at 1 and 8 workers and its deterministic
+# section must match byte for byte: the scale-out tiers, the fleet front
+# door, network chaos, online defragmentation, and the chaos study.
 artifacts_out="$(mktemp -d)"
 trap 'rm -rf "$artifacts_out"' EXIT
 for study in scale fleet net defrag chaos; do
@@ -55,7 +56,7 @@ done
 
 # The perf harness times the kernel and the admission planner; its event
 # counts, sizes and labels must match across worker counts like any other
-# artifact once the host_ timing lines are stripped.
+# artifact's deterministic section.
 echo "==> perf harness smoke + determinism (repro --perf --quick, 1 vs 8 workers)"
 for workers in 1 8; do
   MICROEDGE_WORKERS=$workers cargo run --release -p microedge-bench --bin repro -- \
